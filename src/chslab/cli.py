@@ -18,6 +18,7 @@ import csv
 import io
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ChslabError, ConfigInvalid
@@ -59,16 +60,19 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
     if "experiment" not in parser or "name" not in parser["experiment"]:
         raise ConfigInvalid("config needs an [experiment] section with a name")
     name = parser["experiment"]["name"].strip()
-    seed = int(parser["experiment"].get("seed", "0"))
     params = {k: _parse_scalar(v) for k, v in parser.items("params")} \
         if "params" in parser else {}
-    caps = Caps(
-        dim=int(parser["caps"].get("dim", Caps.dim)) if "caps" in parser else Caps.dim,
-        enum=int(parser["caps"].get("enum", Caps.enum)) if "caps" in parser else Caps.enum,
-    )
-    tolerances = {}
-    if "tolerances" in parser:
-        tolerances = {k: float(v) for k, v in parser.items("tolerances")}
+    try:
+        seed = int(parser["experiment"].get("seed", "0"))
+        caps = Caps(
+            dim=int(parser["caps"].get("dim", Caps.dim)) if "caps" in parser else Caps.dim,
+            enum=int(parser["caps"].get("enum", Caps.enum)) if "caps" in parser else Caps.enum,
+        )
+        tolerances = {}
+        if "tolerances" in parser:
+            tolerances = {k: float(v) for k, v in parser.items("tolerances")}
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad number in {path!r}: {exc}") from exc
     out_path = parser["output"].get("path") if "output" in parser else None
     fmt = parser["output"].get("format", "json") if "output" in parser else "json"
     return ExperimentConfig(name, params, seed, caps, tolerances), out_path, fmt
@@ -111,6 +115,12 @@ def _write_reports(reports: list[Report], out_path: str | None, fmt: str,
     return path
 
 
+def _caps(base: Caps, args) -> Caps:
+    """``base`` with the cap flags that were given; a cap below 1 is refused."""
+    flags = {"dim": args.cap_dim, "enum": args.cap_enum}
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _exit_code(reports: list[Report]) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
@@ -146,22 +156,15 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             config, cfg_out, cfg_fmt = load_config(args.config)
-            caps = Caps(dim=args.cap_dim or config.caps.dim,
-                        enum=args.cap_enum or config.caps.enum)
-            if args.seed is not None:
-                config = ExperimentConfig(config.experiment, config.params,
-                                          args.seed, caps, config.tolerances)
-            else:
-                config = ExperimentConfig(config.experiment, config.params,
-                                          config.seed, caps, config.tolerances)
+            config = replace(config, caps=_caps(config.caps, args),
+                             seed=config.seed if args.seed is None else args.seed)
             reports = [run(config)]
             fmt = args.format or cfg_fmt
             out = args.out if args.out is not None else cfg_out
             stem = f"{config.experiment}-{config.seed}"
         else:
             seed = args.seed if args.seed is not None else 0
-            caps = Caps(dim=args.cap_dim or Caps.dim, enum=args.cap_enum or Caps.enum)
-            reports = run_suite(args.name, seed, caps, jobs=args.jobs)
+            reports = run_suite(args.name, seed, _caps(Caps(), args), jobs=args.jobs)
             fmt = args.format or "json"
             out = args.out
             stem = f"suite-{args.name}-{seed}"

@@ -30,9 +30,9 @@ from .linalg import (
     partial_trace,
     trace_distance,
 )
-from .pseudo import PseudoParams, _phases, prs_multikey_hybrids
+from .pseudo import _keyed_state, _label_mask, _phases
 from .rng import stream_rng
-from .typespace import haar_moment
+from .typespace import DEFAULT_ENUM_CAP, haar_moment
 
 __all__ = [
     "CommitmentParams",
@@ -99,12 +99,6 @@ def commit_state(b: int, common: StateVector, cp: CommitmentParams,
     return StateVector(RegisterShape((d,) * (2 * cp.p)), amps)
 
 
-def _accept_povm_terms(b: int, common: StateVector, cp: CommitmentParams, cap: int):
-    """The 2^p expansion terms of prod_i (I + Pi_i)/2 as per-pair projections."""
-    pair = commit_pair_state(b, common, cp, cap)
-    return pair
-
-
 def receiver_accept_prob(b: int, claimed: Operator, common: StateVector,
                          cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> float:
     """Probability that all p swap tests accept the claimed (C, R) state.
@@ -140,8 +134,9 @@ def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> float:
     the commit registers are maximally mixed regardless of the state.
     """
     d = 2**cp.n
-    params = PseudoParams(lam=cp.lam, n=cp.n, ell=1, t=cp.t)
-    branch0 = prs_multikey_hybrids(params, cp.p, cap).keyed
+    # one independent key per commit register
+    branch0 = _keyed_state(d, cp.p + cp.t, cp.n - cp.lam,
+                           [(i,) for i in range(cp.p)], cap, DEFAULT_ENUM_CAP)
     eye = np.eye(d) / d
     entries = np.ones((1, 1), dtype=np.complex128)
     for _ in range(cp.p):
@@ -165,13 +160,8 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     d = 2**n
     if common.dim != d:
         raise ShapeMismatch(f"common state dimension {common.dim} != 2^n = {d}")
-    idx = np.arange(d, dtype=np.int64)
-    prefix = idx >> (n - lam)
-    rho0 = np.zeros((d, d), dtype=np.complex128)
-    for key in range(2**lam):
-        phased = _phases(prefix, key) * common.amplitudes
-        rho0 += np.outer(phased, phased.conj())
-    rho0 /= 2**lam
+    amps = common.amplitudes
+    rho0 = np.outer(amps, amps.conj()) * _label_mask(d, 1, n - lam, [(0,)])
     shape = RegisterShape((d,))
     F = fidelity(Operator(shape, rho0, hermitian_hint=True),
                  Operator(shape, np.eye(d) / d, hermitian_hint=True))

@@ -4,8 +4,12 @@ The generator family applies a diagonal phase ``(-1)^<k, prefix(y)>`` to the
 amplitudes of an n-qubit state, with the key ``k`` read against the leading
 bits of each basis label.  Because the generators are diagonal with +-1
 entries, conjugating an operator ``M`` by the generator is the Hadamard
-product of ``M`` with a +-1 phase-profile outer product; averaging over the
-whole key space is therefore exact and cheap at desk scale.
+product of ``M`` with a +-1 phase-profile outer product.  Averaged over
+uniform keys, that outer product becomes the 0/1 label-equality mask
+``[label(r) == label(s)]`` (label dephasing): the label of a flat index is
+the XOR of the keyed registers' prefixes, one label per independent key
+block.  Every key average here is that mask, exact over the whole key
+space; nothing is sampled.
 
 Hybrid density matrices follow the register layout: generator-output copies
 first (in query order, with multiplicities), shared-state copies last.
@@ -27,7 +31,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
     permute_registers, trace_distance
-from .rng import stream_rng
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -180,6 +183,33 @@ def _phases(xp: np.ndarray, key: int) -> np.ndarray:
     return 1.0 - 2.0 * _parity(xp & key)
 
 
+def _label_mask(d: int, total: int, suffix_shift: int, charges) -> np.ndarray:
+    """Uniform key average of the +-1 phase outer products, as a 0/1 mask.
+
+    Each entry of ``charges`` lists the registers read against one
+    independent uniform key block; its label is their prefix XOR.  The
+    average of (-1)^<k, label(r) ^ label(s)> over k is [label(r) == label(s)],
+    so the mask is 1 exactly where every label agrees.
+    """
+    mask = np.ones((d**total,) * 2, dtype=bool)
+    for regs in charges:
+        label = _prefix_xor_profile(d, suffix_shift, regs, total)
+        mask &= np.equal.outer(label, label)
+    return mask
+
+
+def _query_charges(blocks, queries) -> list[list[int]]:
+    """Registers read against each key block of the function-like generator.
+
+    Query j applies the XOR of the blocks k_{x_j[i]}[i] to its registers, so
+    block k_b[i] meets the registers of every query whose bit i is b:
+    Q_{i,b} = XOR_{j : x_j[i] = b} P_j.
+    """
+    m_in = len(queries[0].bits)
+    return [[r for regs, x in zip(blocks, queries) if x.bits[i] == b for r in regs]
+            for i in range(m_in) for b in (0, 1)]
+
+
 def prs_apply(k: PrsKey, s: StateVector) -> StateVector:
     """Phase the amplitudes by (-1)^<k, first lam bits of the basis label>."""
     n = int(s.dim).bit_length() - 1
@@ -222,18 +252,15 @@ def check_perm_split(v, sigma, p: PrefixParams,
     _require_good(T, p, enum_cap)
 
     sv = tuple(v[s] for s in sigma)
-    # both sides are multiples of the same matrix unit, so the entrywise
-    # comparison reduces to the single scalar carrying the key average
+    # both sides are multiples of the same matrix unit, whose key average
+    # keeps it iff the fold prefix XORs of its row and column labels agree
     xa = 0
     for e in v[: p.ell]:
         xa ^= p.prefix_of(e)
     xb = 0
     for e in sv[: p.ell]:
         xb ^= p.prefix_of(e)
-    keys = np.arange(2**p.n, dtype=np.int64)
-    avg = float(np.mean(1.0 - 2.0 * _parity(keys & (xa ^ xb))))
-    expected = 1.0 if set(sigma[: p.ell]) == set(range(p.ell)) else 0.0
-    return abs(avg - expected) <= 1e-12
+    return (xa == xb) == (set(sigma[: p.ell]) == set(range(p.ell)))
 
 
 def _position_subset_mixture(elements: tuple[int, ...], sizes: tuple[int, ...]):
@@ -266,8 +293,8 @@ def lemma_nice_T_check(T: TypeVector, p: PrefixParams,
     """Max-entry gap between the key-averaged type projector and the
     uniform split into an ell-subset times its complement.
 
-    Both sides are computed independently: the left by exhaustive averaging
-    over all 2^n keys applied to |T><T|, the right by subset enumeration.
+    Both sides are computed independently: the left is |T><T| dephased by
+    the exact average over all 2^n keys, the right is subset enumeration.
     """
     _require_good(T, p, enum_cap)
     d, total, ell = T.alphabet_dim, T.total, p.ell
@@ -275,12 +302,7 @@ def lemma_nice_T_check(T: TypeVector, p: PrefixParams,
         raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
 
     psi = type_state(T, cap).amplitudes
-    xp = _prefix_xor_profile(d, p.m, range(ell), total)
-    lhs = np.zeros((psi.size, psi.size), dtype=np.complex128)
-    for key in range(2**p.n):
-        phased = _phases(xp, key) * psi
-        lhs += np.outer(phased, phased.conj())
-    lhs /= 2**p.n
+    lhs = np.outer(psi, psi.conj()) * _label_mask(d, total, p.m, [range(ell)])
 
     rhs = np.zeros_like(lhs)
     for (sub, rest), prob in _position_subset_mixture(T.elements(), (ell,)):
@@ -300,15 +322,14 @@ class PrfsTypeResult:
 
 def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
                           cap: int = DEFAULT_DIM_CAP,
-                          enum_cap: int = DEFAULT_ENUM_CAP,
-                          max_keys: int = DEFAULT_ENUM_CAP,
-                          seed: int = 0) -> PrfsTypeResult:
+                          enum_cap: int = DEFAULT_ENUM_CAP) -> PrfsTypeResult:
     """Multi-query generalisation of :func:`lemma_nice_T_check`.
 
-    The left side averages the q-block channel over the full key space
-    (2^(2 m lambda') keys), or over a uniform key sample when that space
-    exceeds ``max_keys``; the right side is the recursive disjoint-subset
-    mixture.  Returns the max entry difference and the key-averaging mode.
+    The left side is |T><T| dephased by the exact average over all
+    2^(2 m lambda') keys: the mask of equal Q_{i,b} charges, one per key
+    block.  The right side is the recursive disjoint-subset mixture.
+    Returns the max entry difference; the key average is always exact and
+    ``keys_used`` is the key-space size.
     """
     queries = tuple(PrfsInput(tuple(q)) for q in queries)
     mults = tuple(int(v) for v in mults)
@@ -327,34 +348,11 @@ def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
     if d**total > cap:
         raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
 
-    lam = p.n
-    key_bits = 2 * m_in * lam
-    exact = 2**key_bits <= max_keys
-    if exact:
-        keys = range(2**key_bits)
-        keys_used = 2**key_bits
-    else:
-        rng = stream_rng(seed, 0)
-        keys_used = max_keys
-        keys = [int(v) for v in
-                rng.integers(0, 2**key_bits, size=keys_used, dtype=np.uint64)]
-
-    # per-query XOR-prefix profiles over that query's block of registers
     offsets = np.cumsum((0,) + mults)
-    profiles = [
-        _prefix_xor_profile(d, p.m, range(offsets[j], offsets[j + 1]), total)
-        for j in range(len(queries))
-    ]
+    blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(queries))]
     psi = type_state(T, cap).amplitudes
-    lhs = np.zeros((psi.size, psi.size), dtype=np.complex128)
-    for key in keys:
-        K = PrfsKey.from_int(key, lam, m_in)
-        par = np.zeros(psi.size, dtype=np.int64)
-        for j, x in enumerate(queries):
-            par ^= _parity(profiles[j] & K.effective_key(x))
-        phased = (1.0 - 2.0 * par) * psi
-        lhs += np.outer(phased, phased.conj())
-    lhs /= keys_used
+    lhs = np.outer(psi, psi.conj()) * _label_mask(
+        d, total, p.m, _query_charges(blocks, queries))
 
     rhs = np.zeros_like(lhs)
     for parts, prob in _position_subset_mixture(T.elements(), mults):
@@ -363,7 +361,8 @@ def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
             vec = np.kron(vec, type_state(
                 TypeVector.from_elements(d, part), cap).amplitudes)
         rhs += prob * np.outer(vec, vec.conj())
-    return PrfsTypeResult(float(np.abs(lhs - rhs).max()), exact, keys_used)
+    return PrfsTypeResult(float(np.abs(lhs - rhs).max()), True,
+                          2 ** (2 * m_in * p.n))
 
 
 @dataclass(frozen=True)
@@ -374,8 +373,38 @@ class HybridResult:
     bound: float
 
 
-def _moment_entries(d: int, t: int, cap: int, enum_cap: int) -> np.ndarray:
-    return haar_moment(d, t, cap, enum_cap).entries
+def _keyed_state(d: int, total: int, suffix_shift: int, charges,
+                 cap: int, enum_cap: int) -> Operator:
+    """Keyed copies plus shared copies, averaged over the whole key space:
+    the total-copy Haar moment dephased by the charges' label mask."""
+    shape = RegisterShape((d,) * total).check_cap(cap)
+    moment = haar_moment(d, total, cap, enum_cap).entries
+    return Operator(shape, moment * _label_mask(d, total, suffix_shift, charges),
+                    hermitian_hint=True)
+
+
+def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
+    """One independent Haar moment per register group, in register order."""
+    entries = np.ones((1, 1), dtype=np.complex128)
+    order: list[int] = []
+    for regs in groups:
+        if len(regs):
+            entries = np.kron(entries, haar_moment(d, len(regs), cap, enum_cap).entries)
+            order.extend(int(r) for r in regs)
+    grouped = Operator(RegisterShape((d,) * len(order)), entries, hermitian_hint=True)
+    if order == sorted(order):
+        return grouped
+    # grouped register g holds register order[g]
+    return permute_registers(grouped, np.argsort(order))
+
+
+def _hybrid(d: int, suffix_shift: int, charges, groups, cap: int,
+            enum_cap: int) -> tuple[Operator, Operator, float]:
+    """Keyed state, ideal state over ``groups`` and their trace distance."""
+    total = sum(len(regs) for regs in groups)
+    keyed = _keyed_state(d, total, suffix_shift, charges, cap, enum_cap)
+    ideal = _ideal_state(d, groups, cap, enum_cap)
+    return keyed, ideal, trace_distance(keyed, ideal)
 
 
 def prs_hybrids(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
@@ -389,24 +418,8 @@ def prs_hybrids(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
-    d = 2**n
-    if d ** (ell + t) > cap:
-        raise DimensionOverflow(f"dimension {d}^{ell + t} exceeds cap {cap}")
-    shape = RegisterShape((d,) * (ell + t))
-
-    M = _moment_entries(d, ell + t, cap, enum_cap)
-    xp = _prefix_xor_profile(d, n - lam, range(ell), ell + t)
-    G = np.zeros((d ** (ell + t),) * 2)
-    for key in range(2**lam):
-        ph = _phases(xp, key)
-        G += np.outer(ph, ph)
-    G /= 2**lam
-    keyed = Operator(shape, M * G, hermitian_hint=True)
-
-    ideal = Operator(shape, np.kron(_moment_entries(d, ell, cap, enum_cap),
-                                    _moment_entries(d, t, cap, enum_cap)),
-                     hermitian_hint=True)
-    td = trace_distance(keyed, ideal)
+    keyed, ideal, td = _hybrid(2**n, n - lam, [range(ell)],
+                               [range(ell), range(ell, ell + t)], cap, enum_cap)
     return HybridResult(keyed, ideal, td, (ell + t) ** (2 * ell) / 2**lam)
 
 
@@ -419,35 +432,12 @@ def prs_multikey_hybrids(params: PseudoParams, num_keys: int,
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
     if num_keys < 1:
         raise ParameterError("need at least one key")
-    d = 2**n
-    total = num_keys * ell + t
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-    shape = RegisterShape((d,) * total)
-
-    M = _moment_entries(d, total, cap, enum_cap)
-    profiles = [
-        _prefix_xor_profile(d, n - lam, range(i * ell, (i + 1) * ell), total)
-        for i in range(num_keys)
-    ]
-    G = np.zeros((d**total,) * 2)
-    for key_tuple in itertools.product(range(2**lam), repeat=num_keys):
-        par = np.zeros(d**total, dtype=np.int64)
-        for i, key in enumerate(key_tuple):
-            par ^= _parity(profiles[i] & key)
-        ph = 1.0 - 2.0 * par
-        G += np.outer(ph, ph)
-    G /= (2**lam) ** num_keys
-    keyed = Operator(shape, M * G, hermitian_hint=True)
-
-    ideal_entries = np.ones((1, 1), dtype=np.complex128)
-    block = _moment_entries(d, ell, cap, enum_cap)
-    for _ in range(num_keys):
-        ideal_entries = np.kron(ideal_entries, block)
-    ideal_entries = np.kron(ideal_entries, _moment_entries(d, t, cap, enum_cap))
-    ideal = Operator(shape, ideal_entries, hermitian_hint=True)
-    td = trace_distance(keyed, ideal)
-    bound = num_keys * (num_keys * ell + t) ** (2 * ell) / 2**lam
+    keyed_regs = num_keys * ell
+    blocks = [range(i * ell, (i + 1) * ell) for i in range(num_keys)]
+    keyed, ideal, td = _hybrid(2**n, n - lam, blocks,
+                               blocks + [range(keyed_regs, keyed_regs + t)],
+                               cap, enum_cap)
+    bound = num_keys * (keyed_regs + t) ** (2 * ell) / 2**lam
     return HybridResult(keyed, ideal, td, bound)
 
 
@@ -463,14 +453,13 @@ class PrfsHybridResult:
 
 def prfs_hybrids(params: PseudoParams, queries,
                  cap: int = DEFAULT_DIM_CAP,
-                 enum_cap: int = DEFAULT_ENUM_CAP,
-                 max_keys: int = DEFAULT_ENUM_CAP,
-                 seed: int = 0) -> PrfsHybridResult:
+                 enum_cap: int = DEFAULT_ENUM_CAP) -> PrfsHybridResult:
     """Multi-query keyed output vs per-query-independent ideal.
 
     Repeated query values share one ideal Haar state, matching the selective
-    security game.  Key averaging is exhaustive up to ``max_keys`` keys and
-    switches to uniform key sampling beyond that, with the mode reported.
+    security game.  The key average is exact over all 2^(2 m lambda') keys:
+    the moment dephased by the mask of equal Q_{i,b} charges, so
+    ``exact_keys`` is always true and ``keys_used`` is the key-space size.
     """
     lam, n, t = params.lam, params.n, params.t
     mults = params.ells if params.ells else (params.ell,)
@@ -479,69 +468,21 @@ def prfs_hybrids(params: PseudoParams, queries,
         raise ParameterError("need one query per copy count")
     if n < lam:
         raise ParameterError(f"need n >= lam', got n={n}, lam'={lam}")
-    m_in = len(queries[0].bits) if queries else 0
+    m_in = len(queries[0].bits)
     if any(len(q.bits) != m_in for q in queries):
         raise ParameterError("queries must share one input length")
-    d = 2**n
     ell = sum(mults)
-    total = ell + t
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-    shape = RegisterShape((d,) * total)
-
-    key_bits = 2 * m_in * lam
-    exact = 2**key_bits <= max_keys
-    if exact:
-        keys = range(2**key_bits)
-        keys_used = 2**key_bits
-    else:
-        rng = stream_rng(seed, 0)
-        keys_used = max_keys
-        keys = [int(v) for v in
-                rng.integers(0, 2**key_bits, size=keys_used, dtype=np.uint64)]
-
-    M = _moment_entries(d, total, cap, enum_cap)
     offsets = np.cumsum((0,) + mults)
-    profiles = [
-        _prefix_xor_profile(d, n - lam, range(offsets[j], offsets[j + 1]), total)
-        for j in range(len(queries))
-    ]
-    G = np.zeros((d**total,) * 2)
-    for key in keys:
-        K = PrfsKey.from_int(key, lam, m_in)
-        par = np.zeros(d**total, dtype=np.int64)
-        for j, x in enumerate(queries):
-            par ^= _parity(profiles[j] & K.effective_key(x))
-        ph = 1.0 - 2.0 * par
-        G += np.outer(ph, ph)
-    G /= keys_used
-    keyed = Operator(shape, M * G, hermitian_hint=True)
-
-    # ideal side: one Haar moment per distinct query value, then shared copies;
-    # build on the grouped layout and permute back to query order
-    order: dict[tuple[int, ...], list[int]] = {}
-    for j, x in enumerate(queries):
-        order.setdefault(x.bits, []).extend(
-            range(int(offsets[j]), int(offsets[j + 1])))
-    grouped_entries = np.ones((1, 1), dtype=np.complex128)
-    grouped_regs: list[int] = []
-    for regs in order.values():
-        grouped_entries = np.kron(
-            grouped_entries, _moment_entries(d, len(regs), cap, enum_cap))
-        grouped_regs.extend(regs)
-    grouped_entries = np.kron(grouped_entries, _moment_entries(d, t, cap, enum_cap))
-    grouped_regs.extend(range(ell, total))
-    grouped = Operator(RegisterShape((d,) * total), grouped_entries,
-                       hermitian_hint=True)
-    # grouped register g sits where query order expects grouped_regs[g]
-    inverse = [0] * total
-    for g, reg in enumerate(grouped_regs):
-        inverse[reg] = g
-    ideal = permute_registers(grouped, inverse)
-
-    td = trace_distance(keyed, ideal)
+    blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(queries))]
+    # ideal side: one Haar moment per distinct query value, then shared copies
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for regs, x in zip(blocks, queries):
+        groups.setdefault(x.bits, []).extend(regs)
+    keyed, ideal, td = _hybrid(2**n, n - lam, _query_charges(blocks, queries),
+                               [*groups.values(), range(ell, ell + t)],
+                               cap, enum_cap)
     bound = (ell + t) ** (2 * ell) / 2**lam
-    return PrfsHybridResult(keyed, ideal, td, bound, exact, keys_used)
+    return PrfsHybridResult(keyed, ideal, td, bound, True, 2 ** (2 * m_in * lam))
 
 
 @dataclass(frozen=True)
@@ -571,11 +512,13 @@ def rank_attack(params: PseudoParams, unitaries=None,
         raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
 
     if unitaries is None:
-        rho0 = prs_hybrids(params, cap, enum_cap).keyed.entries
+        if n < lam:
+            raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
+        rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
     else:
         if len(unitaries) != 2**lam:
             raise ParameterError(f"need one unitary per key, got {len(unitaries)}")
-        M = _moment_entries(d, total, cap, enum_cap)
+        M = haar_moment(d, total, cap, enum_cap).entries
         rho0 = np.zeros_like(M)
         eye_t = np.eye(d**t)
         for u in unitaries:
@@ -587,15 +530,16 @@ def rank_attack(params: PseudoParams, unitaries=None,
             rho0 += w @ M @ w.conj().T
         rho0 /= 2**lam
 
-    rho1 = np.kron(_moment_entries(d, ell, cap, enum_cap),
-                   _moment_entries(d, t, cap, enum_cap))
+    rho1 = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap).entries
 
     vals0, vecs0 = np.linalg.eigh(rho0)
     support = vals0 > rel_threshold * vals0.max()
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())
     basis = vecs0[:, support]
-    accept_haar = float(np.real(np.einsum("ai,ab,bi->", basis.conj(), rho1, basis)))
+    # a probability: clip the round-off that can carry it just past 1
+    accept_haar = float(np.clip(
+        np.real(np.einsum("ai,ab,bi->", basis.conj(), rho1, basis)), 0.0, 1.0))
 
     vals1 = np.linalg.eigvalsh(rho1)
     rank1 = int((np.abs(vals1) > rel_threshold * np.abs(vals1).max()).sum())
@@ -618,7 +562,7 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     if d**total > cap:
         raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
     shape = RegisterShape((d,) * total)
-    M = _moment_entries(d, total, cap, enum_cap)
+    M = haar_moment(d, total, cap, enum_cap).entries
     xp = _prefix_xor_profile(d, 0, (0,), total)
 
     rhos = []

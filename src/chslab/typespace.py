@@ -183,14 +183,26 @@ def type_state(T: TypeVector, cap: int = DEFAULT_DIM_CAP) -> StateVector:
 
 def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
-    """Projector onto the permutation-invariant subspace of (C^d)^(x)t."""
-    if d**t > cap:
-        raise DimensionOverflow(f"dimension {d}^{t} exceeds cap {cap}")
+    """Projector onto the permutation-invariant subspace of (C^d)^(x)t.
+
+    Its entry at (r, s) is 1/|class| when the basis labels r and s are
+    arrangements of the same type and 0 otherwise: the sum of |T><T| over
+    types, built from the sorted digits of each flat index.
+    """
+    if d < 1 or t < 0:
+        raise ParameterError(f"bad alphabet/total: d={d}, t={t}")
     dim = d**t
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for T in enumerate_types(d, t, enum_cap):
-        psi = type_state(T, cap).amplitudes
-        out += np.outer(psi, psi.conj())
+    if dim > cap:
+        raise DimensionOverflow(f"dimension {d}^{t} exceeds cap {cap}")
+    count = comb(d + t - 1, t)
+    if count > enum_cap:
+        raise EnumerationTooLarge(f"{count} types exceeds cap {enum_cap}")
+    # a type's label is its sorted digit tuple read in base d
+    powers = d ** np.arange(t, dtype=np.int64)
+    digits = np.sort(np.arange(dim, dtype=np.int64)[:, None] // powers % d, axis=1)
+    label = digits @ powers
+    class_size = np.bincount(label, minlength=dim)[label]
+    out = np.equal.outer(label, label) / class_size[:, None]
     return Operator(RegisterShape((d,) * t), out, hermitian_hint=True)
 
 
@@ -213,7 +225,8 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
 
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
-    """Exact t-th moment of the projector onto a Haar-random state in C^d."""
+    """Exact t-th moment of the projector onto a Haar-random state in C^d:
+    the type-class projector :func:`sym_projector` over C(d+t-1, t)."""
     proj = sym_projector(d, t, cap, enum_cap)
     return Operator(proj.shape, proj.entries / comb(d + t - 1, t), hermitian_hint=True)
 

@@ -1,6 +1,7 @@
 """Tests for the keyed phase generators, disentangling identities, hybrid
 distances, the rank distinguisher, and the inverse-root overlap bound."""
 
+import functools
 import itertools
 from math import comb
 
@@ -31,6 +32,7 @@ from chslab.typespace import (
     TypeVector,
     enumerate_types,
     is_l_fold_prefix_collision_free,
+    permutation_symmetrizer,
     type_state,
 )
 
@@ -252,6 +254,137 @@ class TestPrfsTypeLemma:
             lemma_prfs_type_check(T, [(0,), (0,)], (1, 1), p)
 
 
+def generator_phases(apply, d):
+    """Diagonal of a diagonal +-1 generator on C^d, read off the uniform state."""
+    uniform = StateVector(RegisterShape((d,)), np.ones(d) / np.sqrt(d))
+    return (apply(uniform).amplitudes * np.sqrt(d)).real
+
+
+def key_loop_average(rho, per_key_phases):
+    """Independent oracle: conjugate ``rho`` by the keyed diagonal phases one
+    explicit key at a time and average.  Each item of ``per_key_phases`` is
+    one key's list of per-register phase vectors (ones on unkeyed registers)."""
+    acc = np.zeros_like(rho, dtype=complex)
+    count = 0
+    for registers in per_key_phases:
+        ph = functools.reduce(np.kron, registers)
+        acc += rho * np.outer(ph, ph)
+        count += 1
+    return acc / count
+
+
+def prs_key_phases(lam, d, ell, t, num_keys=1):
+    ones = np.ones(d)
+    for keys in itertools.product(range(2**lam), repeat=num_keys):
+        registers = []
+        for key in keys:
+            f = generator_phases(lambda s: prs_apply(PrsKey.from_int(key, lam), s), d)
+            registers += [f] * ell
+        yield registers + [ones] * t
+
+
+def prfs_key_phases(lam, d, queries, mults, t):
+    m = len(queries[0])
+    for key in range(2 ** (2 * m * lam)):
+        K = PrfsKey.from_int(key, lam, m)
+        registers = []
+        for x, mult in zip(queries, mults):
+            f = generator_phases(lambda s: prfs_apply(K, PrfsInput(x), s), d)
+            registers += [f] * mult
+        yield registers + [np.ones(d)] * t
+
+
+def moment_oracle(d, total):
+    return permutation_symmetrizer(d, total).entries / comb(d + total - 1, total)
+
+
+HYBRID_ORACLE_CASES = {
+    "single-key lam=n=2": (lambda: prs_hybrids(PseudoParams(2, 2, 1, 1)),
+                           4, 2, lambda: prs_key_phases(2, 4, 1, 1)),
+    "single-key lam<n": (lambda: prs_hybrids(PseudoParams(1, 2, 2, 1)),
+                         4, 3, lambda: prs_key_phases(1, 4, 2, 1)),
+    "single-key lam<n n=3": (lambda: prs_hybrids(PseudoParams(2, 3, 1, 1)),
+                             8, 2, lambda: prs_key_phases(2, 8, 1, 1)),
+    "two keys": (lambda: prs_multikey_hybrids(PseudoParams(2, 2, 1, 0), 2),
+                 4, 2, lambda: prs_key_phases(2, 4, 1, 0, num_keys=2)),
+    "two keys lam<n": (lambda: prs_multikey_hybrids(PseudoParams(1, 2, 1, 1), 2),
+                       4, 3, lambda: prs_key_phases(1, 4, 1, 1, num_keys=2)),
+    "distinct queries": (
+        lambda: prfs_hybrids(PseudoParams(1, 2, 2, 1, (1, 1)), [(0,), (1,)]),
+        4, 3, lambda: prfs_key_phases(1, 4, [(0,), (1,)], (1, 1), 1)),
+    "repeated queries": (
+        lambda: prfs_hybrids(PseudoParams(1, 2, 2, 1, (1, 1)), [(1,), (1,)]),
+        4, 3, lambda: prfs_key_phases(1, 4, [(1,), (1,)], (1, 1), 1)),
+    "two-bit queries": (
+        lambda: prfs_hybrids(PseudoParams(1, 2, 3, 0, (2, 1)), [(0, 1), (1, 1)]),
+        4, 3, lambda: prfs_key_phases(1, 4, [(0, 1), (1, 1)], (2, 1), 0)),
+}
+
+
+class TestKeyLoopOracle:
+    """Every exact key average against the explicit exhaustive key loop."""
+
+    @pytest.mark.parametrize("case", list(HYBRID_ORACLE_CASES))
+    def test_keyed_state(self, case):
+        call, d, total, phases = HYBRID_ORACLE_CASES[case]
+        moment = moment_oracle(d, total)
+        expected = key_loop_average(moment, phases())
+        keyed = call().keyed.entries
+        assert np.abs(keyed - expected).max() < 1e-12
+        # the key average is not vacuous: it removes coherences
+        assert np.abs(expected - moment).max() > 1e-3
+
+    @staticmethod
+    def split_mixture(T, mults):
+        """Uniform ordered split of a collision-free type into blocks of the
+        given sizes plus the rest, as a density matrix."""
+        d = T.alphabet_dim
+        states = []
+        for perm in itertools.permutations(T.elements()):
+            vec, start = np.ones(1), 0
+            for size in tuple(mults) + (T.total - sum(mults),):
+                part = TypeVector.from_elements(d, perm[start:start + size])
+                vec = np.kron(vec, type_state(part).amplitudes)
+                start += size
+            states.append(np.outer(vec, vec.conj()))
+        return np.mean(states, axis=0)
+
+    @pytest.mark.parametrize("n,m,ell,elements", [
+        (2, 0, 1, (0, 1)), (2, 0, 1, (0, 1, 2)), (2, 1, 1, (0, 2)),
+        (2, 1, 1, (1, 2, 4)),
+    ])
+    def test_nice_type_lemma(self, n, m, ell, elements):
+        p = PrefixParams(n, m, ell, len(elements))
+        T = TypeVector.from_elements(p.alphabet_dim, elements)
+        assert is_l_fold_prefix_collision_free(T, p)
+        psi = type_state(T).amplitudes
+        # an n-bit key phases the n-bit prefix of each (n+m)-bit element
+        lhs = key_loop_average(np.outer(psi, psi.conj()), prs_key_phases(
+            n, p.alphabet_dim, ell, len(elements) - ell))
+        assert np.abs(lhs - self.split_mixture(T, (ell,))).max() < 1e-12
+        assert lemma_nice_T_check(T, p) < 1e-12
+
+    @pytest.mark.parametrize("n,m,elements,queries", [
+        (1, 1, (0b00, 0b10), [(0,), (1,)]),
+        (2, 0, (0, 1), [(0,), (1,)]),
+        (1, 1, (0b00, 0b10), [(0, 1), (1, 1)]),
+        (2, 0, (0, 1, 2), [(0,), (1,)]),
+    ])
+    def test_prfs_type_lemma(self, n, m, elements, queries):
+        mults = (1,) * len(queries)
+        p = PrefixParams(n, m, len(queries), len(elements))
+        T = TypeVector.from_elements(p.alphabet_dim, elements)
+        assert is_l_fold_prefix_collision_free(T, p)
+        psi = type_state(T).amplitudes
+        spectators = len(elements) - len(queries)
+        lhs = key_loop_average(np.outer(psi, psi.conj()), prfs_key_phases(
+            n, p.alphabet_dim, queries, mults, spectators))
+        assert np.abs(lhs - self.split_mixture(T, mults)).max() < 1e-12
+        res = lemma_prfs_type_check(T, queries, mults, p)
+        assert res.discrepancy < 1e-12
+        assert res.exact_keys and res.keys_used == 2 ** (2 * len(queries[0]) * n)
+
+
 class TestPrsHybrids:
     def test_no_generated_copies(self):
         res = prs_hybrids(PseudoParams(2, 2, 0, 2))
@@ -322,6 +455,16 @@ class TestPrfsHybrids:
         assert res.exact_keys and res.keys_used == 16
         assert 0.0 < res.td <= 1.0
 
+    def test_million_key_space_is_exact(self):
+        # 2^20 keys: ten-bit queries differing in bit 0 only, so blocks
+        # k0[0] and k1[0] act as two independent one-bit keys
+        res = prfs_hybrids(PseudoParams(1, 1, 2, 1, (1, 1)),
+                           [(0,) * 10, (1,) + (0,) * 9])
+        assert res.exact_keys and res.keys_used == 2**20
+        two_keys = prs_multikey_hybrids(PseudoParams(1, 1, 1, 1), 2)
+        assert two_keys.td == pytest.approx(0.25, abs=1e-12)
+        assert res.td == pytest.approx(two_keys.td, abs=1e-12)
+
     def test_repeated_queries_share_ideal_state(self):
         # the ideal side for two equal queries is the two-copy moment, so the
         # keyed side (identical phases on both copies) matches it more closely
@@ -354,6 +497,11 @@ class TestRankAttack:
         assert default.rank0 == explicit.rank0
         assert default.accept_haar == pytest.approx(explicit.accept_haar,
                                                     abs=1e-10)
+
+    def test_ideal_acceptance_is_a_probability(self):
+        # the support-basis contraction lands just above 1 in floating point
+        res = rank_attack(PseudoParams(3, 3, 1, 2))
+        assert 0.0 <= res.accept_haar <= 1.0
 
     def test_larger_point_keeps_inequality(self):
         res = rank_attack(PseudoParams(3, 3, 1, 1))

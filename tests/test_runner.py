@@ -225,6 +225,42 @@ name = not-an-experiment
         out = capsys.readouterr().out
         assert "kneser" in out and "rank-attack" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--cap-dim", "0"], ["--cap-enum", "0"], ["--cap-dim", "-1"],
+        ["--cap-enum", "-5"],
+    ])
+    def test_cap_below_one_exits_two(self, tmp_path, flags):
+        cfg = self.write_config(tmp_path, "[experiment]\nname = kneser\n")
+        out = tmp_path / "c.json"
+        assert main(flags + ["--out", str(out), "run", cfg]) == 2
+        assert main(flags + ["--out", str(out), "suite", "lemmas"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["dim", "enum"])
+    def test_config_cap_below_one_exits_two(self, tmp_path, key):
+        cfg = self.write_config(
+            tmp_path, f"[experiment]\nname = kneser\n\n[caps]\n{key} = 0\n")
+        assert main(["--out", str(tmp_path / "c.json"), "run", cfg]) == 2
+
+    @pytest.mark.parametrize("section,line", [
+        ("caps", "dim = 1e4"), ("caps", "enum = many"), ("tolerances", "kneser = tight"),
+    ])
+    def test_config_non_number_exits_two(self, tmp_path, section, line):
+        cfg = self.write_config(
+            tmp_path, f"[experiment]\nname = kneser\n\n[{section}]\n{line}\n")
+        assert main(["--out", str(tmp_path / "c.json"), "run", cfg]) == 2
+
+    def test_cap_flag_overrides_config(self, tmp_path):
+        # prs-hybrid at its defaults needs a 16-dimensional operator
+        cfg = self.write_config(
+            tmp_path, "[experiment]\nname = prs-hybrid\n\n[caps]\ndim = 4\n")
+        out = tmp_path / "p.json"
+        assert main(["--out", str(out), "run", cfg]) == 1
+        names = [c["name"] for c in json.loads(out.read_text())[0]["checks"]]
+        assert names == ["error-DimensionOverflow"]
+        assert main(["--cap-dim", "16", "--out", str(out), "run", cfg]) == 0
+        assert main(["--cap-dim", "15", "--out", str(out), "run", cfg]) == 1
+
     def test_load_config_validation(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[params]\nv = 5\n")
