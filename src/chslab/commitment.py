@@ -126,7 +126,8 @@ def receiver_accept_prob(b: int, claimed: Operator, common: StateVector,
     return total / 2**cp.p
 
 
-def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> float:
+def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP,
+                    enum_cap: int = DEFAULT_ENUM_CAP) -> float:
     """Exact distance between what the receiver holds in the two branches.
 
     The receiver side is the p commit registers plus t observer copies of
@@ -136,12 +137,12 @@ def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> float:
     d = 2**cp.n
     # one independent key per commit register
     branch0 = _keyed_state(d, cp.p + cp.t, cp.n - cp.lam,
-                           [(i,) for i in range(cp.p)], cap, DEFAULT_ENUM_CAP)
+                           [(i,) for i in range(cp.p)], cap, enum_cap)
     eye = np.eye(d) / d
     entries = np.ones((1, 1), dtype=np.complex128)
     for _ in range(cp.p):
         entries = np.kron(entries, eye)
-    entries = np.kron(entries, haar_moment(d, cp.t, cap).entries)
+    entries = np.kron(entries, haar_moment(d, cp.t, cap, enum_cap).entries)
     branch1 = Operator(branch0.shape, entries, hermitian_hint=True)
     return trace_distance(branch0, branch1)
 

@@ -2,7 +2,11 @@
 
 The lower bound is the collision tester: both parties measure every copy in
 the computational basis and accept when all outcomes are distinct.  Its
-advantage has an exact closed form in binomial ratios.  The upper bound goes
+advantage has an exact closed form in binomial ratios.  Its Monte Carlo
+estimate never builds a state: a Haar state's basis probabilities are
+Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j repeats an
+earlier outcome with probability j/(d+j), else it is a uniform outcome),
+drawn in fixed seeded blocks, all in the calling process.  The upper bound goes
 through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference is computed exactly in a
 t-subset basis (dimension C(d,t)^2 per side instead of d^(2t)) and bounded
@@ -12,8 +16,6 @@ by a sum of Kneser-graph spectral norms.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -31,6 +33,8 @@ from .linalg import (
 )
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, TypeVector, haar_moment, type_state
+
+_MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
 __all__ = [
     "KneserParams",
@@ -115,19 +119,21 @@ def locc_advantage_closed_form(d: int, t: int) -> float:
     return float(independent - identical)
 
 
-def _draw_outcomes(weights: np.ndarray, draws: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Per-row categorical draws proportional to the row weights."""
-    rows, d = weights.shape
-    cum = np.cumsum(weights, axis=1)
-    # the row offsets must be added in float64: float32 spacing at offset
-    # ~8000 would quantize the within-row distribution
-    unit = (cum / cum[:, -1:]).astype(np.float64)
-    base = np.arange(rows, dtype=np.float64)[:, None]
-    flat = (unit + base).ravel()
-    needles = (rng.random((rows, draws)) + base).ravel()
-    idx = np.searchsorted(flat, needles).reshape(rows, draws)
-    return idx - (np.arange(rows)[:, None] * d)
+def _urn_outcomes(rows: int, d: int, draws: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Computational-basis outcomes of ``draws`` copies of fresh Haar states.
+
+    One row per state.  A Haar state's basis probabilities are
+    Dirichlet(1,...,1), so its measured copies follow a Polya urn: draw j
+    takes k uniform in [0, d + j) and repeats earlier draw k when k < j,
+    else it is the fresh outcome k - j.
+    """
+    ks = rng.integers(0, d + np.arange(draws), size=(rows, draws))
+    out = ks - np.arange(draws)
+    for j in range(1, draws):
+        rep = np.flatnonzero(ks[:, j] < j)
+        out[rep, j] = out[rep, ks[rep, j]]
+    return out
 
 
 def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
@@ -135,56 +141,43 @@ def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
     return (np.diff(srt, axis=1) != 0).all(axis=1)
 
 
-def _mc_block(args) -> tuple[int, int]:
+def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
+              t: int) -> tuple[int, int]:
     """No-collision hit counts for one deterministic trial block.
 
-    Per trial: the squared amplitudes of a fresh Haar state are drawn
-    directly (i.i.d. exponentials, normalised) and every copy is measured
-    in the computational basis; no density matrices are materialised.  The
-    trials are paired: the shared-state branch measures 2t copies of one
-    state, and the independent branch combines the first t of those
-    outcomes with t outcomes from a second state.
+    The trials are paired: the shared-state branch measures 2t copies of
+    one state (urn A), and the independent branch combines the first t of
+    those outcomes with t outcomes of a second state (urn B).
     """
-    seed, stream, block, rows, d, t = args
     rng = stream_rng(seed, (stream, block))
-    # float32 weights: quantization perturbs outcome probabilities by ~1e-6
-    # relative, far below any Monte Carlo stderr at reachable trial counts
-    w = rng.standard_exponential((rows, d), dtype=np.float32)
-    out_shared = _draw_outcomes(w, 2 * t, rng)
+    out_shared = _urn_outcomes(rows, d, 2 * t, rng)
     hits_identical = int(_all_distinct(out_shared).sum())
-    w = rng.standard_exponential((rows, d), dtype=np.float32)
-    out_other = _draw_outcomes(w, t, rng)
-    both = np.concatenate([out_shared[:, :t], out_other], axis=1)
+    both = np.concatenate(
+        [out_shared[:, :t], _urn_outcomes(rows, d, t, rng)], axis=1)
     return hits_identical, int(_all_distinct(both).sum())
 
 
-def locc_advantage_mc(lp: LoccParams, stream: int = 0, chunk: int = 8192,
+def locc_advantage_mc(lp: LoccParams, stream: int = 0,
                       workers: int | None = None) -> tuple[float, float]:
     """Monte Carlo estimate of the no-collision advantage with its stderr.
 
-    Trials are split into fixed blocks, one RNG sub-stream per block, and
-    the integer hit counts are summed, so the result is identical for any
-    worker count.  The quoted stderr treats the branches as independent,
-    which is conservative for the paired sampler.
+    A Haar state's basis probabilities are Dirichlet(1,...,1), so its
+    measured copies are drawn as a Polya urn (:func:`_urn_outcomes`), O(t)
+    per trial and no state amplitudes.  Trials run in fixed blocks of
+    ``_MC_BLOCK``, one RNG sub-stream per block, every block in this
+    process; ``workers`` is accepted for compatibility and cannot change
+    the result.  The quoted stderr
+    treats the branches as independent, which is conservative for the
+    paired sampler.
     """
     if lp.t == 0:
         return 0.0, 0.0
-    blocks = []
-    remaining, block = lp.trials, 0
-    while remaining > 0:
-        rows = min(remaining, chunk)
-        blocks.append((lp.seed, stream, block, rows, lp.d, lp.t))
-        remaining -= rows
-        block += 1
-    if workers is None:
-        workers = max(1, min(4, os.cpu_count() or 1))
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_mc_block, blocks, chunksize=4))
-    else:
-        counts = [_mc_block(b) for b in blocks]
-    hits_identical = sum(c[0] for c in counts)
-    hits_independent = sum(c[1] for c in counts)
+    hits_identical = hits_independent = 0
+    for block, first in enumerate(range(0, lp.trials, _MC_BLOCK)):
+        rows = min(_MC_BLOCK, lp.trials - first)
+        ident, indep = _mc_block(lp.seed, stream, block, rows, lp.d, lp.t)
+        hits_identical += ident
+        hits_independent += indep
     p_id = hits_identical / lp.trials
     p_ind = hits_independent / lp.trials
     stderr = float(np.sqrt(

@@ -356,11 +356,12 @@ def _exp_commit_hiding(params, seed, caps, rec: _Recorder):
     lam, p, t = params["lam"], params["p"], params["t"]
     bound = p * (p + t) ** 2 / 2**lam
     for n in params["ns"]:
-        td = cm.hiding_distance(cm.CommitmentParams(lam, n, p, t), caps.dim)
+        td = cm.hiding_distance(cm.CommitmentParams(lam, n, p, t), caps.dim,
+                                caps.enum)
         rec.add(f"trace-distance-n{n}", td, bound, EXACT, True)
     if p == 1:
         zero = cm.hiding_distance(cm.CommitmentParams(lam, params["ns"][0], p, 0),
-                                  caps.dim)
+                                  caps.dim, caps.enum)
         rec.close("no-copy-distance", zero, 0.0, EXACT, "identity", 1e-12)
 
 
@@ -579,7 +580,7 @@ def run(config: ExperimentConfig) -> Report:
     rec = _Recorder(config.tolerances)
     try:
         entry.fn(params, config.seed, config.caps, rec)
-    except ChslabError as exc:
+    except (ChslabError, np.linalg.LinAlgError, MemoryError) as exc:
         rec.add(f"error-{type(exc).__name__}", float("nan"), None, EXACT, False)
     return Report(config.experiment, params, config.seed, rec.rows, _toolchain())
 
@@ -603,12 +604,16 @@ def run_suite(suite: str, seed: int = 0, caps: Caps = Caps(),
 
     Per-experiment seeds derive from (suite seed, experiment index), so the
     reports are identical whether the suite runs serially or in parallel.
+    At most one worker process per experiment is started.
     """
+    if jobs < 1:
+        raise ConfigInvalid(f"jobs must be at least 1, got {jobs}")
     names = suite_experiments(suite)
     configs = [
         ExperimentConfig(name, {}, derive_seed(seed, i), caps, tolerances or {})
         for i, name in enumerate(names)
     ]
+    jobs = min(jobs, len(configs))
     if jobs <= 1:
         return [run(c) for c in configs]
     from concurrent.futures import ProcessPoolExecutor

@@ -18,6 +18,7 @@ from chslab.locc import (
     locc_advantage_mc,
     ppt_diff_norm,
     ppt_vs_haar_bound,
+    _urn_outcomes,
 )
 from chslab.rng import stream_rng
 from chslab.typespace import TypeVector, enumerate_types, type_state
@@ -99,6 +100,13 @@ class TestMonteCarlo:
     def test_no_copies(self):
         assert locc_advantage_mc(LoccParams(4, 0, trials=10, seed=0)) == (0.0, 0.0)
 
+    def test_worker_count_and_repeat_invariance(self):
+        lp = LoccParams(64, 2, trials=20000, seed=9)
+        first = locc_advantage_mc(lp, stream=3)
+        assert locc_advantage_mc(lp, stream=3, workers=1) == first
+        assert locc_advantage_mc(lp, stream=3) == first
+        assert locc_advantage_mc(lp, stream=4) != first
+
     def test_identical_branch_collision_histogram(self):
         # measured type of 2t draws from one Haar state must be uniform over
         # the C(d+2t-1, 2t) types; compare support-size histograms
@@ -108,21 +116,42 @@ class TestMonteCarlo:
         expected = np.array([(sizes == s).sum() / len(types)
                              for s in range(1, 2 * t + 1)])
 
-        rng = stream_rng(23)
-        from chslab.locc import _draw_outcomes
-        counts = np.zeros(2 * t, dtype=int)
-        remaining = trials
-        while remaining > 0:
-            rows = min(remaining, 8192)
-            w = rng.standard_exponential((rows, d))
-            outcomes = _draw_outcomes(w, 2 * t, rng)
-            support = np.array([len(set(row)) for row in outcomes])
-            for s in range(1, 2 * t + 1):
-                counts[s - 1] += (support == s).sum()
-            remaining -= rows
+        outcomes = _urn_outcomes(trials, d, 2 * t, stream_rng(23))
+        support = np.array([len(set(row)) for row in outcomes])
+        counts = np.array([(support == s).sum() for s in range(1, 2 * t + 1)])
         chi2 = float((((counts - trials * expected) ** 2)
                       / (trials * expected)).sum())
         assert chi2 < 16.266  # 99.9th percentile of chi-squared with 3 dof
+
+    def test_shared_branch_type_uniform(self):
+        # all C(4+4-1, 4) = 35 types of 2t = 4 draws at d = 4 equally likely
+        d, draws, trials = 4, 4, 100000
+        outcomes = np.sort(_urn_outcomes(trials, d, draws, stream_rng(24)), axis=1)
+        observed = {tuple(row): n for row, n in
+                    zip(*np.unique(outcomes, axis=0, return_counts=True))}
+        types = [tuple(T.elements()) for T in enumerate_types(d, draws)]
+        assert len(types) == 35 and set(observed) <= set(types)
+        counts = np.array([observed.get(T, 0) for T in types])
+        expected = trials / len(types)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 65.247  # 99.9th percentile of chi-squared with 34 dof
+
+    def test_independent_branch_type_pairs_uniform(self):
+        # (type of A's first t draws, type of B's t draws) at d = 3, t = 2 is
+        # uniform over the 6 x 6 pairs: A's prefix and urn B are independent
+        d, t, trials = 3, 2, 100000
+        rng = stream_rng(25)
+        first = np.sort(_urn_outcomes(trials, d, 2 * t, rng)[:, :t], axis=1)
+        other = np.sort(_urn_outcomes(trials, d, t, rng), axis=1)
+        types = [tuple(T.elements()) for T in enumerate_types(d, t)]
+        assert len(types) == 6
+        index = {T: i for i, T in enumerate(types)}
+        cells = np.array([index[tuple(a)] * 6 + index[tuple(b)]
+                          for a, b in zip(first, other)])
+        counts = np.bincount(cells, minlength=36)
+        expected = trials / 36
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 66.619  # 99.9th percentile of chi-squared with 35 dof
 
 
 def full_space_surrogates(d, t):

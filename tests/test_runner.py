@@ -1,12 +1,16 @@
 """Tests for the experiment registry, report formats, and the CLI."""
 
+import concurrent.futures
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chslab.cli import load_config, main
 from chslab.errors import ConfigInvalid
 from chslab.registry import (
+    Caps,
     ExperimentConfig,
     REGISTRY,
     SUITES,
@@ -93,6 +97,21 @@ class TestRegistry:
         assert "trace-distance" in names
         assert "keyed-trace" in names
 
+    def test_commit_hiding_honours_enum_cap(self):
+        report = run(ExperimentConfig("commit-hiding", caps=Caps(enum=1)))
+        assert [c.name for c in report.checks] == ["error-EnumerationTooLarge"]
+        assert not report.passed
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, MemoryError])
+    def test_numeric_failure_becomes_error_row(self, monkeypatch, exc):
+        def fail(params, seed, caps, rec):
+            raise exc("no convergence")
+
+        monkeypatch.setitem(REGISTRY, "kneser", replace(REGISTRY["kneser"], fn=fail))
+        report = run(ExperimentConfig("kneser"))
+        assert [c.name for c in report.checks] == [f"error-{exc.__name__}"]
+        assert not report.passed
+
     def test_deterministic_reports(self):
         a = run(ExperimentConfig("good-type-prob", {"trials": 20000}, seed=7))
         b = run(ExperimentConfig("good-type-prob", {"trials": 20000}, seed=7))
@@ -130,6 +149,40 @@ class TestSuiteRun:
                 for r in reports
             ]
         assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ConfigInvalid):
+            run_suite("lemmas", seed=5, jobs=jobs)
+        out = tmp_path / "s.json"
+        assert main(["--jobs", str(jobs), "--out", str(out), "suite", "lemmas"]) == 2
+        assert not out.exists()
+
+    def test_pool_never_exceeds_experiment_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        count = len(suite_experiments("lemmas"))
+        reports = run_suite("lemmas", seed=5, jobs=10**6)
+        assert sizes == [count]
+        assert [r.experiment for r in reports] == suite_experiments("lemmas")
+        run_suite("lemmas", seed=5, jobs=2)
+        assert sizes == [count, 2]
 
 
 class TestReportFormats:
