@@ -138,12 +138,6 @@ class Operator:
         return complex(np.trace(self.entries))
 
 
-def basis_state(shape: RegisterShape, index: int) -> StateVector:
-    amps = np.zeros(shape.total, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(shape, amps)
-
-
 def tensor(a, b, cap: int = DEFAULT_DIM_CAP):
     """Kronecker product of two states or two operators (big-endian order)."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):

@@ -8,9 +8,15 @@ Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j repeats an
 earlier outcome with probability j/(d+j), else it is a uniform outcome),
 drawn in fixed seeded blocks, all in the calling process.  The upper bound goes
 through measurements that stay positive under partial transposition: the
-trace norm of the partially transposed difference is computed exactly in a
-t-subset basis (dimension C(d,t)^2 per side instead of d^(2t)) and bounded
-by a sum of Kneser-graph spectral norms.
+trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
+is computed exactly in the basis of t-subset pairs (a, b), where it is block
+diagonal by j = |a n b|, and bounded by a sum of Kneser-graph spectral norms.
+Every piece reads the subset-overlap matrix g[i, j] = |A_i n A_j|.  Since
+C(d,2t) C(2t,t) = C(d,t) C(d-t,t), the two weights are equal and the j = 0
+block is exactly zero; each j >= 1 block is, with s = t - j, C(d,s) C(d-s,s)
+copies of the weight times the adjacency of the Kneser graph K(d-2s, t-s).
+So exact equals the Kneser sum; exact is still computed from the built
+blocks, never from that identity.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from .linalg import (
     trace_norm,
 )
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, TypeVector, haar_moment, type_state
+from .typespace import DEFAULT_ENUM_CAP, haar_moment
 
 _MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
@@ -76,25 +82,26 @@ class LoccParams:
             raise ParameterError("bad LOCC parameters")
 
 
+def _subset_overlaps(d: int, t: int) -> np.ndarray:
+    """g[i, j] = |A_i n A_j| over the t-subsets of [d], lexicographic order:
+    the Gram matrix of their 0/1 membership rows."""
+    subsets = np.array(list(itertools.combinations(range(d), t)), dtype=np.intp)
+    member = np.zeros((len(subsets), d), dtype=np.int16)
+    np.put_along_axis(member, subsets, 1, axis=1)
+    return member @ member.T
+
+
 def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
     """0/1 adjacency matrix over the C(v,k) subsets, lexicographic order."""
     count = comb(kp.v, kp.k)
     if count > enum_cap:
         raise EnumerationTooLarge(f"{count} vertices exceeds cap {enum_cap}")
-    subsets = [frozenset(s) for s in itertools.combinations(range(kp.v), kp.k)]
-    out = np.zeros((count, count))
-    for i, a in enumerate(subsets):
-        for j in range(i + 1, count):
-            if not (a & subsets[j]):
-                out[i, j] = out[j, i] = 1.0
+    out = (_subset_overlaps(kp.v, kp.k) == 0).astype(float)
     return Operator(RegisterShape((count,)), out, hermitian_hint=True)
 
 
 def _kneser_formula(v: int, k: int) -> float:
-    prod = 1.0
-    for j in range(1, k + 1):
-        prod *= v - (2 * j - 1)
-    return 2.0**k * prod / factorial(k)
+    return 2**k * prod(range(v - 1, v - 2 * k, -2)) / factorial(k)
 
 
 def kneser_one_norm(kp: KneserParams,
@@ -194,68 +201,52 @@ class PptChainResult:
     series_bound: float
 
 
-def _subset_basis_pair(d: int, t: int, enum_cap: int):
-    subsets = list(itertools.combinations(range(d), t))
-    if len(subsets) ** 2 > enum_cap:
-        raise EnumerationTooLarge(
-            f"subset-pair basis C({d},{t})^2 exceeds cap {enum_cap}")
-    return subsets, {s: i for i, s in enumerate(subsets)}
-
-
 def ppt_diff_norm(d: int, t: int,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> PptChainResult:
     """Exact partially transposed difference norm and its bound chain.
 
-    Both mixtures are supported on pairs of t-subset states, so the 1-norm
-    is computed in the C(d,t)^2-dimensional subset-pair basis (type states
-    are orthonormal, and real, so transposition acts by index swap there).
-    The chain reported is
+    Both mixtures are supported on pairs (a, b) of t-subset states, which
+    are orthonormal and real, so transposing B swaps b with the column's
+    subset.  Gamma(rho) joins (a, b) to (c, e) with weight 1/(C(d,2t) C(2t,t))
+    when a and e are disjoint, c and b are disjoint and a u e = c u b;
+    Gamma(sigma) = sigma is diagonal on disjoint pairs.  Both keep
+    j = |a n b|, so the norm is the sum over the t+1 blocks of pairs with
+    overlap j.  The chain reported is
     exact <= kneser_sum (= middle) <= factorial_bound <= series_bound.
     """
     if t < 0 or d <= 2 * t:
         raise ParameterError(f"need d > 2t >= 0, got d={d}, t={t}")
-    subsets, index = _subset_basis_pair(d, t, enum_cap)
-    S = len(subsets)
+    if comb(d, t) ** 2 > enum_cap:
+        raise EnumerationTooLarge(
+            f"subset-pair basis C({d},{t})^2 exceeds cap {enum_cap}")
+    g = _subset_overlaps(d, t)
     weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
-    rho = np.zeros((S * S, S * S))
-    sigma = np.zeros((S * S, S * S))
-    for T in itertools.combinations(range(d), 2 * t):
-        Tset = set(T)
-        for X in itertools.combinations(T, t):
-            u = index[tuple(sorted(Tset - set(X)))]
-            x = index[X]
-            for Y in itertools.combinations(T, t):
-                v = index[tuple(sorted(Tset - set(Y)))]
-                y = index[Y]
-                rho[u * S + x, v * S + y] += weight_rho
     weight_sigma = 1.0 / (comb(d, t) * comb(d - t, t))
-    for a, sa in enumerate(subsets):
-        for b, sb in enumerate(subsets):
-            if not (set(sa) & set(sb)):
-                sigma[a * S + b, a * S + b] = weight_sigma
-
-    def gamma(mat: np.ndarray) -> np.ndarray:
-        return mat.reshape(S, S, S, S).transpose(0, 3, 2, 1).reshape(S * S, S * S)
-
-    diff = gamma(rho) - gamma(sigma)
-    exact = float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    exact = 0.0
+    for j in range(t + 1):
+        a, b = np.nonzero(g == j)
+        cross = g[np.ix_(a, b)]  # |a_r n b_s|: row r's a against column s's e
+        # a u e = c u b  <=>  |a n c| + |a n b| + |e n c| + |e n b| = 2t
+        joined = ((cross == 0) & (cross.T == 0)
+                  & (g[np.ix_(a, a)] + g[np.ix_(b, b)] == 2 * (t - j)))
+        block = weight_rho * joined
+        block[np.diag_indices(len(a))] -= weight_sigma * (cross.diagonal() == 0)
+        exact += float(np.abs(np.linalg.eigvalsh(block)).sum())
 
     kneser_sum = 0.0
-    middle = 0.0
-    factorial_bound = 0.0
+    middle = Fraction(0)
+    factorial_bound = Fraction(0)
     for s in range(t):
         norm, _ = kneser_one_norm(KneserParams(d - 2 * s, t - s), enum_cap)
         kneser_sum += comb(d, s) * comb(d - s, s) * norm
-        denom = 1.0
-        for j in range(t - s):
-            denom *= d - 2 * s - 2 * j
-        middle += (2.0 ** (t - s) * (factorial(t) / factorial(s)) ** 2
-                   / (factorial(t - s) * denom))
-        factorial_bound += (2.0 ** (t - s) * float(t) ** (2 * (t - s))
-                            / (factorial(t - s) * (d - 2 * t + 2) ** (t - s)))
+        middle += Fraction(2 ** (t - s) * (factorial(t) // factorial(s)) ** 2,
+                           factorial(t - s) * prod(range(d - 2 * s, d - 2 * t, -2)))
+        factorial_bound += Fraction(2 ** (t - s) * t ** (2 * (t - s)),
+                                    factorial(t - s) * (d - 2 * t + 2) ** (t - s))
     kneser_sum *= weight_rho
     series_bound = float(np.expm1(2.0 * t * t / (d - 2 * t + 2)))
-    return PptChainResult(exact, kneser_sum, middle, factorial_bound, series_bound)
+    return PptChainResult(exact, kneser_sum, float(middle),
+                          float(factorial_bound), series_bound)
 
 
 @dataclass(frozen=True)
@@ -268,13 +259,23 @@ class PptVsHaarResult:
     slack_reference: float
 
 
-def _subset_average_full(d: int, t: int, cap: int):
-    """Average of |T><T| over t-subsets, materialised on the d^t space."""
-    out = np.zeros((d**t, d**t), dtype=np.complex128)
-    for sub in itertools.combinations(range(d), t):
-        psi = type_state(TypeVector.from_elements(d, sub), cap).amplitudes
-        out += np.outer(psi, psi.conj())
-    return out / comb(d, t)
+def _subset_surrogates(d: int, t: int, rho: Operator,
+                       sigma: Operator) -> tuple[Operator, Operator]:
+    """The subset mixtures behind the PPT surrogate, from the true moments.
+
+    rho~ averages the 2t-subset states and sigma~ the products of disjoint
+    t-subset states.  Both moments join a row only to its digit
+    permutations, so keeping the rows whose 2t digits are all distinct and
+    rescaling gives the mixtures: rho~ = rho mask C(d+2t-1,2t) / C(d,2t)
+    and sigma~ = sigma mask C(d+t-1,t)^2 / (C(d,t) C(d-t,t)).
+    """
+    distinct = _all_distinct(np.indices((d,) * (2 * t)).reshape(2 * t, -1).T)[:, None]
+    scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
+    scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
+    return (Operator(rho.shape, rho.entries * (distinct * scale_rho),
+                     hermitian_hint=True),
+            Operator(sigma.shape, sigma.entries * (distinct * scale_sigma),
+                     hermitian_hint=True))
 
 
 def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
@@ -309,19 +310,7 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                     hermitian_hint=True)
     half_true = 0.5 * trace_norm(diff)
 
-    rho_tilde = Operator(shape, _subset_average_full(d, 2 * t, cap),
-                         hermitian_hint=True)
-    sig_tilde = np.zeros_like(rho_tilde.entries)
-    count = 0
-    for sa in itertools.combinations(range(d), t):
-        psi_a = type_state(TypeVector.from_elements(d, sa), cap).amplitudes
-        rest = [x for x in range(d) if x not in sa]
-        for sb in itertools.combinations(rest, t):
-            psi_b = type_state(TypeVector.from_elements(d, sb), cap).amplitudes
-            vec = np.kron(psi_a, psi_b)
-            sig_tilde += np.outer(vec, vec.conj())
-            count += 1
-    sigma_tilde = Operator(shape, sig_tilde / count, hermitian_hint=True)
+    rho_tilde, sigma_tilde = _subset_surrogates(d, t, rho, sigma)
     slack_identical = trace_distance(rho, rho_tilde)
     slack_independent = trace_distance(sigma, sigma_tilde)
     return PptVsHaarResult(advantage, chain.exact / 2.0, half_true,

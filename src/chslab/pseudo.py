@@ -494,14 +494,11 @@ class RankAttackResult:
     ratio_bound: float
 
 
-def rank_attack(params: PseudoParams, unitaries=None,
-                rel_threshold: float = 1e-8,
+def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
                 cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> RankAttackResult:
     """Support-projector distinguisher against a single-copy generator family.
 
-    ``unitaries`` may supply an arbitrary keyed family (one d x d unitary per
-    key) to attack; by default the module's own phase generator is used.
     The measurement projects onto the numerical support of the keyed state
     and its acceptance of the ideal state is compared with rank0/rank1.
     """
@@ -511,25 +508,9 @@ def rank_attack(params: PseudoParams, unitaries=None,
     if d**total > cap:
         raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
 
-    if unitaries is None:
-        if n < lam:
-            raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
-        rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
-    else:
-        if len(unitaries) != 2**lam:
-            raise ParameterError(f"need one unitary per key, got {len(unitaries)}")
-        M = haar_moment(d, total, cap, enum_cap).entries
-        rho0 = np.zeros_like(M)
-        eye_t = np.eye(d**t)
-        for u in unitaries:
-            u = np.asarray(u, dtype=np.complex128)
-            w = np.ones((1, 1), dtype=np.complex128)
-            for _ in range(ell):
-                w = np.kron(w, u)
-            w = np.kron(w, eye_t)
-            rho0 += w @ M @ w.conj().T
-        rho0 /= 2**lam
-
+    if n < lam:
+        raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
+    rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
     rho1 = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap).entries
 
     vals0, vecs0 = np.linalg.eigh(rho0)

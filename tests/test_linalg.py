@@ -14,7 +14,6 @@ from chslab.linalg import (
     Operator,
     RegisterShape,
     StateVector,
-    basis_state,
     fidelity,
     numeric_rank,
     partial_trace,
@@ -284,7 +283,8 @@ class TestPinvSqrtAndRank:
     def test_rank_examples(self):
         assert numeric_rank(Operator(RegisterShape((4,)), np.eye(4),
                                      hermitian_hint=True)) == 4
-        assert numeric_rank(basis_state(RegisterShape((4,)), 0).density()) == 1
+        one_hot = StateVector(RegisterShape((4,)), np.eye(4, dtype=complex)[0])
+        assert numeric_rank(one_hot.density()) == 1
         assert numeric_rank(sym_projector(2, 2)) == 3
 
 

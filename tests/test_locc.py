@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from chslab.errors import ParameterError
+from chslab.errors import EnumerationTooLarge, ParameterError
 from chslab.linalg import Operator, RegisterShape, partial_transpose, trace_norm
 from chslab.locc import (
     KneserParams,
@@ -18,10 +18,11 @@ from chslab.locc import (
     locc_advantage_mc,
     ppt_diff_norm,
     ppt_vs_haar_bound,
+    _subset_surrogates,
     _urn_outcomes,
 )
 from chslab.rng import stream_rng
-from chslab.typespace import TypeVector, enumerate_types, type_state
+from chslab.typespace import TypeVector, enumerate_types, haar_moment, type_state
 
 
 class TestKneser:
@@ -66,6 +67,19 @@ class TestKneser:
     def test_parameter_guard(self):
         with pytest.raises(ParameterError):
             KneserParams(3, 2)
+
+    def test_adjacency_matches_set_loop(self):
+        # oracle: pairwise set disjointness over the lexicographic subsets
+        for v in range(2, 13):
+            for k in range(1, v // 2 + 1):
+                subsets = [frozenset(s) for s in itertools.combinations(range(v), k)]
+                oracle = np.zeros((len(subsets), len(subsets)))
+                for i, a in enumerate(subsets):
+                    for j in range(i + 1, len(subsets)):
+                        if not (a & subsets[j]):
+                            oracle[i, j] = oracle[j, i] = 1.0
+                adj = kneser_adjacency(KneserParams(v, k)).entries
+                np.testing.assert_array_equal(adj, oracle, err_msg=f"K({v},{k})")
 
 
 class TestClosedForm:
@@ -175,6 +189,32 @@ def full_space_surrogates(d, t):
     return rho, sigma / count
 
 
+def dense_subset_pair_norm(d, t):
+    """Trace norm of Gamma(rho) - Gamma(sigma) as one C(d,t)^2-square matrix:
+    both mixtures filled pair by pair, then B's subset index swapped."""
+    subsets = list(itertools.combinations(range(d), t))
+    index = {s: i for i, s in enumerate(subsets)}
+    S = len(subsets)
+    rho = np.zeros((S * S, S * S))
+    sigma = np.zeros((S * S, S * S))
+    for T in itertools.combinations(range(d), 2 * t):
+        for X in itertools.combinations(T, t):
+            u = index[tuple(sorted(set(T) - set(X)))]
+            for Y in itertools.combinations(T, t):
+                v = index[tuple(sorted(set(T) - set(Y)))]
+                rho[u * S + index[X], v * S + index[Y]] += 1.0 / (
+                    comb(d, 2 * t) * comb(2 * t, t))
+    for a, sa in enumerate(subsets):
+        for b, sb in enumerate(subsets):
+            if not (set(sa) & set(sb)):
+                sigma[a * S + b, a * S + b] = 1.0 / (comb(d, t) * comb(d - t, t))
+
+    def gamma(mat):
+        return mat.reshape(S, S, S, S).transpose(0, 3, 2, 1).reshape(S * S, S * S)
+
+    return float(np.abs(np.linalg.eigvalsh(gamma(rho) - gamma(sigma))).sum())
+
+
 class TestPptChain:
     def test_single_copy_value(self):
         chain = ppt_diff_norm(6, 1)
@@ -182,10 +222,12 @@ class TestPptChain:
         assert chain.kneser_sum == pytest.approx(2 / 6, abs=1e-10)
         assert chain.middle == pytest.approx(2 / 6, abs=1e-10)
 
-    @pytest.mark.parametrize("d,t", [(6, 1), (6, 2), (8, 2), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("d,t", [(6, 1), (6, 2), (8, 2), (5, 2), (7, 3), (10, 2)])
     def test_chain_holds(self, d, t):
+        # the first link holds with equality: each |a n b| block is a
+        # multiple of a Kneser adjacency
         chain = ppt_diff_norm(d, t)
-        assert chain.exact <= chain.kneser_sum + 1e-8
+        assert chain.exact == pytest.approx(chain.kneser_sum, abs=1e-10)
         assert chain.kneser_sum == pytest.approx(chain.middle, abs=1e-8)
         assert chain.middle <= chain.factorial_bound + 1e-8
         assert chain.factorial_bound <= chain.series_bound + 1e-8
@@ -217,6 +259,29 @@ class TestPptChain:
     def test_parameter_guard(self):
         with pytest.raises(ParameterError):
             ppt_diff_norm(4, 2)
+
+    def test_enumeration_cap(self):
+        # the subset-pair basis at (10, 2) has C(10,2)^2 = 2025 elements
+        with pytest.raises(EnumerationTooLarge):
+            ppt_diff_norm(10, 2, enum_cap=2024)
+        assert ppt_diff_norm(10, 2, enum_cap=2025).exact > 0.0
+
+    @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2)])
+    def test_blocks_match_dense_subset_pair_build(self, d, t):
+        assert ppt_diff_norm(d, t).exact == pytest.approx(
+            dense_subset_pair_norm(d, t), abs=1e-12)
+
+    @pytest.mark.parametrize("d,t", [(4, 1), (5, 2), (6, 2)])
+    def test_mask_surrogates_match_subset_mixtures(self, d, t):
+        shape = RegisterShape((d,) * (2 * t))
+        rho = Operator(shape, haar_moment(d, 2 * t).entries, hermitian_hint=True)
+        half = haar_moment(d, t).entries
+        sigma = Operator(shape, np.kron(half, half), hermitian_hint=True)
+        rho_tilde, sigma_tilde = _subset_surrogates(d, t, rho, sigma)
+        rho_oracle, sigma_oracle = full_space_surrogates(d, t)
+        np.testing.assert_allclose(rho_tilde.entries, rho_oracle, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sigma_tilde.entries, sigma_oracle, rtol=0,
+                                   atol=1e-15)
 
 
 class TestSandwich:

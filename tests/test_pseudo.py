@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chslab.errors import ParameterError, PreconditionViolated
-from chslab.linalg import RegisterShape, StateVector
+from chslab.linalg import DEFAULT_DIM_CAP, RegisterShape, StateVector
 from chslab.pseudo import (
     PrfsInput,
     PrfsKey,
@@ -25,12 +25,15 @@ from chslab.pseudo import (
     prs_hybrids,
     prs_multikey_hybrids,
     rank_attack,
+    _keyed_state,
 )
 from chslab.rng import stream_rng
 from chslab.typespace import (
+    DEFAULT_ENUM_CAP,
     PrefixParams,
     TypeVector,
     enumerate_types,
+    haar_moment,
     is_l_fold_prefix_collision_free,
     permutation_symmetrizer,
     type_state,
@@ -484,19 +487,28 @@ class TestRankAttack:
             4 / comb(3, 1) * (1 + 2 / 4), abs=1e-12)
 
     def test_custom_unitary_family_matches_default(self):
+        # oracle: the explicit keyed family average sum_k W_k M W_k^dag / 2^lam,
+        # W_k = U_k^(x ell) (x) 1 on the t shared copies, M the Haar moment
         params = PseudoParams(2, 2, 1, 1)
-        phases = []
-        idx = np.arange(4)
-        for key in range(4):
-            par = np.zeros(4, dtype=int)
-            for bit in range(2):
-                par ^= ((idx >> (1 - bit)) & 1) * ((key >> (1 - bit)) & 1)
-            phases.append(np.diag(1.0 - 2.0 * par))
-        default = rank_attack(params)
-        explicit = rank_attack(params, unitaries=phases)
-        assert default.rank0 == explicit.rank0
-        assert default.accept_haar == pytest.approx(explicit.accept_haar,
-                                                    abs=1e-10)
+        lam, n, ell, t = params.lam, params.n, params.ell, params.t
+        d = 2**n
+        idx = np.arange(d)
+        M = haar_moment(d, ell + t).entries
+        oracle = np.zeros_like(M)
+        for key in range(2**lam):
+            par = np.zeros(d, dtype=int)
+            for bit in range(lam):
+                par ^= ((idx >> (lam - 1 - bit)) & 1) * ((key >> (lam - 1 - bit)) & 1)
+            w = np.ones((1, 1), dtype=np.complex128)
+            for _ in range(ell):
+                w = np.kron(w, np.diag(1.0 - 2.0 * par))
+            w = np.kron(w, np.eye(d**t))
+            oracle += w @ M @ w.conj().T
+        oracle /= 2**lam
+        keyed = _keyed_state(d, ell + t, n - lam, [range(ell)], DEFAULT_DIM_CAP,
+                             DEFAULT_ENUM_CAP).entries
+        np.testing.assert_allclose(keyed, oracle, rtol=0, atol=1e-12)
+        assert np.linalg.matrix_rank(oracle) == rank_attack(params).rank0
 
     def test_ideal_acceptance_is_a_probability(self):
         # the support-basis contraction lands just above 1 in floating point
