@@ -28,11 +28,10 @@ from .linalg import (
     RegisterShape,
     StateVector,
     partial_trace,
-    trace_distance,
 )
-from .pseudo import _keyed_state, _label_mask, _phases
+from .pseudo import _hybrid, _label_mask, _phases
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, haar_moment
+from .typespace import DEFAULT_ENUM_CAP
 
 __all__ = [
     "CommitmentParams",
@@ -134,17 +133,12 @@ def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP,
     the common state, averaged over the common state exactly.  For b = 1
     the commit registers are maximally mixed regardless of the state.
     """
-    d = 2**cp.n
-    # one independent key per commit register
-    branch0 = _keyed_state(d, cp.p + cp.t, cp.n - cp.lam,
-                           [(i,) for i in range(cp.p)], cap, enum_cap)
-    eye = np.eye(d) / d
-    entries = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(cp.p):
-        entries = np.kron(entries, eye)
-    entries = np.kron(entries, haar_moment(d, cp.t, cap, enum_cap).entries)
-    branch1 = Operator(branch0.shape, entries, hermitian_hint=True)
-    return trace_distance(branch0, branch1)
+    # one independent key per commit register; haar_moment(d, 1) = I/d is
+    # the maximally mixed commit register of the b = 1 branch
+    commits = [(i,) for i in range(cp.p)]
+    _, _, td = _hybrid(2**cp.n, cp.n - cp.lam, commits,
+                       commits + [range(cp.p, cp.p + cp.t)], cap, enum_cap)
+    return td
 
 
 def fidelity_bound_check(lam: int, n: int, common: StateVector,

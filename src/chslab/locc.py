@@ -6,7 +6,9 @@ advantage has an exact closed form in binomial ratios.  Its Monte Carlo
 estimate never builds a state: a Haar state's basis probabilities are
 Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j repeats an
 earlier outcome with probability j/(d+j), else it is a uniform outcome),
-drawn in fixed seeded blocks, all in the calling process.  The upper bound goes
+drawn in fixed seeded blocks, all in the calling process.  The urn is
+``typespace._urn_outcomes``, the one sampler of uniform types, which the
+good-type estimate shares.  The upper bound goes
 through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
 is computed exactly in the basis of t-subset pairs (a, b), where it is block
@@ -38,7 +40,7 @@ from .linalg import (
     trace_norm,
 )
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, haar_moment
+from .typespace import DEFAULT_ENUM_CAP, _urn_outcomes, haar_moment
 
 _MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
@@ -124,23 +126,6 @@ def locc_advantage_closed_form(d: int, t: int) -> float:
     independent = Fraction(comb(d, t) * comb(d - t, t), comb(d + t - 1, t) ** 2)
     identical = Fraction(comb(d, 2 * t), comb(d + 2 * t - 1, 2 * t))
     return float(independent - identical)
-
-
-def _urn_outcomes(rows: int, d: int, draws: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Computational-basis outcomes of ``draws`` copies of fresh Haar states.
-
-    One row per state.  A Haar state's basis probabilities are
-    Dirichlet(1,...,1), so its measured copies follow a Polya urn: draw j
-    takes k uniform in [0, d + j) and repeats earlier draw k when k < j,
-    else it is the fresh outcome k - j.
-    """
-    ks = rng.integers(0, d + np.arange(draws), size=(rows, draws))
-    out = ks - np.arange(draws)
-    for j in range(1, draws):
-        rep = np.flatnonzero(ks[:, j] < j)
-        out[rep, j] = out[rep, ks[rep, j]]
-    return out
 
 
 def _all_distinct(outcomes: np.ndarray) -> np.ndarray:

@@ -293,24 +293,11 @@ def lemma_nice_T_check(T: TypeVector, p: PrefixParams,
     """Max-entry gap between the key-averaged type projector and the
     uniform split into an ell-subset times its complement.
 
-    Both sides are computed independently: the left is |T><T| dephased by
-    the exact average over all 2^n keys, the right is subset enumeration.
+    The single-query case of :func:`lemma_prfs_type_check`: one query keys
+    the first ell registers, and its all-zero-input key block is the only
+    one that meets them.
     """
-    _require_good(T, p, enum_cap)
-    d, total, ell = T.alphabet_dim, T.total, p.ell
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-
-    psi = type_state(T, cap).amplitudes
-    lhs = np.outer(psi, psi.conj()) * _label_mask(d, total, p.m, [range(ell)])
-
-    rhs = np.zeros_like(lhs)
-    for (sub, rest), prob in _position_subset_mixture(T.elements(), (ell,)):
-        left = type_state(TypeVector.from_elements(d, sub), cap).amplitudes
-        right = type_state(TypeVector.from_elements(d, rest), cap).amplitudes
-        vec = np.kron(left, right)
-        rhs += prob * np.outer(vec, vec.conj())
-    return float(np.abs(lhs - rhs).max())
+    return lemma_prfs_type_check(T, [(0,)], (p.ell,), p, cap, enum_cap).discrepancy
 
 
 @dataclass(frozen=True)
@@ -505,9 +492,6 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     d = 2**n
     total = ell + t
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
     rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
@@ -535,28 +519,22 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
                         enum_cap: int = DEFAULT_ENUM_CAP,
                         cutoff: float = 1e-10) -> tuple[float, float]:
     """Average overlap of the phased moments against the inverse square root
-    of their mixture; bounded by (m+1)/d for d = 2^n."""
+    of their mixture; bounded by (m+1)/d for d = 2^n.
+
+    The phased moments are D_x M D_x for the (m+1)-copy moment M and the
+    phase D_x = (-1)^<x, first register>, x in [0, d).  Their mixture
+    sigma = sum_x D_x M D_x is d times the keyed state with one key on the
+    first register, which is zero between different first-register labels.
+    Each D_x is constant on those label blocks, so it commutes with sigma
+    and with s = sigma^(-1/2), and every x contributes the same
+    Tr(D_x M D_x s D_x M D_x s) = Tr(M s M s).
+    """
     from .linalg import pinv_sqrt
 
     d = 2**n
     total = m + 1
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-    shape = RegisterShape((d,) * total)
-    M = haar_moment(d, total, cap, enum_cap).entries
-    xp = _prefix_xor_profile(d, 0, (0,), total)
-
-    rhos = []
-    sigma = np.zeros_like(M)
-    for x in range(d):
-        ph = _phases(xp, x)
-        rho_x = M * np.outer(ph, ph)
-        rhos.append(rho_x)
-        sigma += rho_x
-    s = pinv_sqrt(Operator(shape, sigma, hermitian_hint=True), cutoff).entries
-
-    value = 0.0
-    for rho_x in rhos:
-        value += float(np.real(np.trace(rho_x @ s @ rho_x @ s)))
-    value /= d
-    return value, total / d
+    sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
+    s = pinv_sqrt(Operator(sigma.shape, d * sigma.entries, hermitian_hint=True),
+                  cutoff).entries
+    ms = haar_moment(d, total, cap, enum_cap).entries @ s
+    return float(np.real(np.trace(ms @ ms))), total / d

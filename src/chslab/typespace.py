@@ -10,6 +10,13 @@ uniform type reproduces the exact t-th moment of a Haar-random state.
 Types are stored sparsely (index -> multiplicity); full vectors are only
 materialised by :func:`type_state`.  The canonical ordering of types is
 lexicographic on the sorted element tuple.
+
+Good-type questions have one fold predicate, :func:`_fold_good`, which
+tests arrays of element rows at once, and one sampler of uniform types,
+the Polya urn :func:`_urn_outcomes`: t draws from a Dirichlet(1,...,1)
+outcome law land on each multiset with probability
+t! / (d (d+1) ... (d+t-1)) = 1 / C(d+t-1, t).  The collision tester in
+:mod:`chslab.locc` draws its measurement outcomes from the same urn.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 10**6
+_CHUNK = 65536  # rows handed to the fold predicate at once
 
 
 @dataclass(frozen=True)
@@ -130,17 +138,22 @@ class PrefixParams:
         return index >> self.m
 
 
-def enumerate_types(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[TypeVector]:
-    """All C(d+t-1, t) types over [0, d), in lexicographic element order."""
+def _type_rows(d: int, t: int, enum_cap: int):
+    """(C(d+t-1, t), an iterator over the sorted element tuples of the types
+    over [0, d) in lexicographic order); the count is checked against the
+    cap before any tuple is made."""
     if d < 1 or t < 0:
         raise ParameterError(f"bad alphabet/total: d={d}, t={t}")
     count = comb(d + t - 1, t)
     if count > enum_cap:
         raise EnumerationTooLarge(f"{count} types exceeds cap {enum_cap}")
-    return [
-        TypeVector.from_elements(d, combo)
-        for combo in itertools.combinations_with_replacement(range(d), t)
-    ]
+    return count, itertools.combinations_with_replacement(range(d), t)
+
+
+def enumerate_types(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[TypeVector]:
+    """All C(d+t-1, t) types over [0, d), in lexicographic element order."""
+    _, rows = _type_rows(d, t, enum_cap)
+    return [TypeVector.from_elements(d, row) for row in rows]
 
 
 def arrangements(elements: tuple[int, ...]):
@@ -243,23 +256,41 @@ def sample_haar(d: int, seed: int, stream: int = 0) -> StateVector:
     return StateVector(RegisterShape((d,)), amps)
 
 
-def _prefix_xors_good(elements: tuple[int, ...], n: int, m: int, ell: int) -> bool:
-    """True iff all position ell-subsets have pairwise distinct prefix XORs.
+def _urn_outcomes(rows: int, d: int, draws: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Computational-basis outcomes of ``draws`` copies of fresh Haar states.
+
+    One row per state.  A Haar state's basis probabilities are
+    Dirichlet(1,...,1), so its measured copies follow a Polya urn: draw j
+    takes k uniform in [0, d + j) and repeats earlier draw k when k < j,
+    else it is the fresh outcome k - j.  A row with counts c has probability
+    prod c_i! / (d (d+1) ... (d+draws-1)) and draws! / prod c_i! orderings,
+    so its multiset is a uniform type: probability 1 / C(d+draws-1, draws).
+    """
+    ks = rng.integers(0, d + np.arange(draws), size=(rows, draws))
+    out = ks - np.arange(draws)
+    for j in range(1, draws):
+        rep = np.flatnonzero(ks[:, j] < j)
+        out[rep, j] = out[rep, ks[rep, j]]
+    return out
+
+
+def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:
+    """Per row of elements: True iff all position ell-subsets have pairwise
+    distinct prefix XORs (the prefix of e is e >> m).
 
     Two subsets drawing equal elements from different positions share a XOR,
     so any repeated element rules the type out whenever ell < t; this is the
     reading under which the fold condition implies plain collision-freeness.
+    The answer does not depend on the order of a row.
     """
-    prefixes = [e >> m for e in elements]
-    seen = set()
-    for combo in itertools.combinations(range(len(elements)), ell):
-        x = 0
-        for i in combo:
-            x ^= prefixes[i]
-        if x in seen:
-            return False
-        seen.add(x)
-    return True
+    prefixes = rows >> m
+    subsets = list(itertools.combinations(range(rows.shape[1]), ell))
+    folds = np.empty((rows.shape[0], len(subsets)), dtype=rows.dtype)
+    for j, combo in enumerate(subsets):
+        folds[:, j] = np.bitwise_xor.reduce(prefixes[:, combo], axis=1)
+    folds.sort(axis=1)
+    return (np.diff(folds, axis=1) != 0).all(axis=1)
 
 
 def is_l_fold_prefix_collision_free(T: TypeVector, p: PrefixParams,
@@ -273,7 +304,7 @@ def is_l_fold_prefix_collision_free(T: TypeVector, p: PrefixParams,
     if comb(T.total, p.ell) ** 2 > enum_cap:
         raise EnumerationTooLarge(
             f"C({T.total},{p.ell})^2 exceeds cap {enum_cap}")
-    return _prefix_xors_good(T.elements(), p.n, p.m, p.ell)
+    return bool(_fold_good(np.array([T.elements()], dtype=np.int64), p.m, p.ell)[0])
 
 
 @dataclass(frozen=True)
@@ -284,41 +315,30 @@ class GoodTypeProbability:
     trials: int
 
 
-def _sample_type_elements(d: int, t: int, count: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Uniform multisets of size t over [0, d), one per row, sorted."""
-    # stars-and-bars bijection: a sorted t-subset of [0, d+t-1) minus offsets
-    vals = rng.random((count, d + t - 1))
-    picked = np.sort(np.argpartition(vals, t - 1, axis=1)[:, :t], axis=1)
-    return picked - np.arange(t)
-
-
 def prob_good_type(p: PrefixParams, trials: int = 0, seed: int = 0, stream: int = 0,
                    enum_cap: int = DEFAULT_ENUM_CAP) -> GoodTypeProbability:
     """Probability that a uniform type of total t passes the fold predicate.
 
-    The exact branch enumerates all types (raises EnumerationTooLarge past
-    the cap).  When ``trials`` > 0 a Monte Carlo estimate over uniformly
-    sampled types is attached, with its binomial standard error.
+    The exact branch counts the passing types over all of them (raises
+    EnumerationTooLarge past the cap).  When ``trials`` > 0 a Monte Carlo
+    estimate over uniform types drawn by the Polya urn
+    (:func:`_urn_outcomes`) is attached, with its binomial standard error.
+    Both branches feed the predicate ``_CHUNK`` rows at a time.
     """
     d, t = p.alphabet_dim, p.t
-    types = enumerate_types(d, t, enum_cap)
-    good = sum(
-        1 for T in types if _prefix_xors_good(T.elements(), p.n, p.m, p.ell)
-    )
-    exact = Fraction(good, len(types))
+    count, types = _type_rows(d, t, enum_cap)
+    good = 0
+    for _ in range(0, count, _CHUNK):
+        rows = np.array(list(itertools.islice(types, _CHUNK)), dtype=np.int64)
+        good += int(_fold_good(rows, p.m, p.ell).sum())
+    exact = Fraction(good, count)
     if trials <= 0:
         return GoodTypeProbability(exact, None, None, 0)
     rng = stream_rng(seed, stream)
     hits = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, 65536)
-        rows = _sample_type_elements(d, t, chunk, rng)
-        for row in rows:
-            if _prefix_xors_good(tuple(int(v) for v in row), p.n, p.m, p.ell):
-                hits += 1
-        remaining -= chunk
+    for first in range(0, trials, _CHUNK):
+        rows = _urn_outcomes(min(_CHUNK, trials - first), d, t, rng)
+        hits += int(_fold_good(rows, p.m, p.ell).sum())
     est = hits / trials
     stderr = float(np.sqrt(est * (1.0 - est) / trials))
     return GoodTypeProbability(exact, est, stderr, trials)

@@ -18,9 +18,17 @@ from chslab.commitment import (
     receiver_accept_prob,
 )
 from chslab.errors import NotUnitary, ParameterError, ShapeMismatch
-from chslab.linalg import Operator, RegisterShape, StateVector, partial_trace
+from chslab.linalg import (
+    DEFAULT_DIM_CAP,
+    Operator,
+    RegisterShape,
+    StateVector,
+    partial_trace,
+    trace_distance,
+)
+from chslab.pseudo import _keyed_state
 from chslab.rng import stream_rng
-from chslab.typespace import sample_haar
+from chslab.typespace import DEFAULT_ENUM_CAP, haar_moment, sample_haar
 
 
 def binding_bound(cp: CommitmentParams) -> float:
@@ -138,6 +146,22 @@ class TestReceiverAcceptProb:
 
 
 class TestHiding:
+    @pytest.mark.parametrize("lam,n,p,t", [(1, 2, 1, 1), (1, 3, 1, 1),
+                                           (2, 3, 2, 1), (1, 2, 2, 2)])
+    def test_matches_explicit_branch_build(self, lam, n, p, t):
+        # oracle: branch 1 is p maximally mixed commit registers tensored
+        # with the t-copy moment, built by hand
+        d = 2**n
+        branch0 = _keyed_state(d, p + t, n - lam, [(i,) for i in range(p)],
+                               DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
+        entries = np.ones((1, 1), dtype=complex)
+        for _ in range(p):
+            entries = np.kron(entries, np.eye(d) / d)
+        entries = np.kron(entries, haar_moment(d, t).entries)
+        branch1 = Operator(branch0.shape, entries, hermitian_hint=True)
+        assert hiding_distance(CommitmentParams(lam, n, p, t)) == pytest.approx(
+            trace_distance(branch0, branch1), abs=1e-12)
+
     def test_no_observer_copies(self):
         assert hiding_distance(CommitmentParams(1, 2, 1, 0)) == pytest.approx(
             0.0, abs=1e-12)

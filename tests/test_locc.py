@@ -19,10 +19,15 @@ from chslab.locc import (
     ppt_diff_norm,
     ppt_vs_haar_bound,
     _subset_surrogates,
-    _urn_outcomes,
 )
 from chslab.rng import stream_rng
-from chslab.typespace import TypeVector, enumerate_types, haar_moment, type_state
+from chslab.typespace import (
+    TypeVector,
+    _urn_outcomes,
+    enumerate_types,
+    haar_moment,
+    type_state,
+)
 
 
 class TestKneser:

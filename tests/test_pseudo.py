@@ -8,8 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from chslab.errors import ParameterError, PreconditionViolated
-from chslab.linalg import DEFAULT_DIM_CAP, RegisterShape, StateVector
+from chslab.errors import DimensionOverflow, ParameterError, PreconditionViolated
+from chslab.linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, pinv_sqrt
 from chslab.pseudo import (
     PrfsInput,
     PrfsKey,
@@ -515,13 +515,45 @@ class TestRankAttack:
         res = rank_attack(PseudoParams(3, 3, 1, 2))
         assert 0.0 <= res.accept_haar <= 1.0
 
+    def test_dimension_cap(self):
+        # (ell + t) = 2 registers of dimension 4: 16 against a cap of 15
+        with pytest.raises(DimensionOverflow):
+            rank_attack(PseudoParams(1, 2, 1, 1), cap=15)
+
     def test_larger_point_keeps_inequality(self):
         res = rank_attack(PseudoParams(3, 3, 1, 1))
         assert res.accept_pseudo == pytest.approx(1.0, abs=1e-9)
         assert res.accept_haar <= res.rank0 / res.rank1 + 1e-9
 
 
+def onewayness_oracle(n, m):
+    """Independent oracle: every phased moment built and overlapped with the
+    inverse square root of their sum, one x at a time."""
+    d, total = 2**n, m + 1
+    moment = haar_moment(d, total).entries
+    first = np.arange(d**total) // d ** (total - 1)
+    rhos = []
+    for x in range(d):
+        ph = np.array([(-1.0) ** bin(f & x).count("1") for f in first])
+        rhos.append(moment * np.outer(ph, ph))
+    sigma = Operator(RegisterShape((d,) * total), sum(rhos), hermitian_hint=True)
+    s = pinv_sqrt(sigma, 1e-10).entries
+    return sum(float(np.real(np.trace(r @ s @ r @ s))) for r in rhos) / d
+
+
 class TestOnewayness:
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 0), (1, 2), (2, 2),
+                                     (3, 1), (1, 3)])
+    def test_matches_per_phase_oracle(self, n, m):
+        value, bound = onewayness_quantity(n, m)
+        assert value == pytest.approx(onewayness_oracle(n, m), abs=1e-12)
+        assert bound == (m + 1) / 2**n
+
+    def test_dimension_cap(self):
+        # 4^2 = 16 flat dimension against a cap of 15
+        with pytest.raises(DimensionOverflow):
+            onewayness_quantity(2, 1, cap=15)
+
     def test_bound_points(self):
         value, bound = onewayness_quantity(1, 1)
         assert bound == 1.0 and value <= bound + 1e-9

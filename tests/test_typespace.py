@@ -23,7 +23,23 @@ from chslab.typespace import (
     sym_projector,
     type_bipartition,
     type_state,
+    _fold_good,
+    _urn_outcomes,
 )
+
+
+def fold_good_oracle(elements, m, ell):
+    """Independent oracle: one Python set of prefix XORs per type."""
+    prefixes = [e >> m for e in elements]
+    seen = set()
+    for combo in itertools.combinations(range(len(elements)), ell):
+        x = 0
+        for i in combo:
+            x ^= prefixes[i]
+        if x in seen:
+            return False
+        seen.add(x)
+    return True
 
 
 class TestTypeVector:
@@ -188,6 +204,24 @@ class TestPrefixCollisionFree:
                         T, PrefixParams(n, m, i, total))
 
 
+class TestFoldPredicate:
+    @pytest.mark.parametrize("n,m,ell,total", [
+        (2, 0, 1, 3), (2, 1, 2, 4), (3, 0, 2, 3), (2, 0, 1, 4), (1, 1, 1, 3),
+        (2, 0, 3, 3)])
+    def test_matches_set_oracle_on_every_type(self, n, m, ell, total):
+        p = PrefixParams(n, m, ell, total)
+        types = enumerate_types(p.alphabet_dim, total)
+        rows = np.array([T.elements() for T in types], dtype=np.int64)
+        expected = [fold_good_oracle(T.elements(), m, ell) for T in types]
+        assert _fold_good(rows, m, ell).tolist() == expected
+        assert [is_l_fold_prefix_collision_free(T, p) for T in types] == expected
+        assert prob_good_type(p).exact == Fraction(sum(expected), len(types))
+
+    def test_row_order_is_irrelevant(self):
+        rows = np.array([[0, 1, 2, 5], [3, 3, 6, 1], [7, 4, 2, 0]], dtype=np.int64)
+        assert (_fold_good(rows, 1, 2) == _fold_good(rows[:, ::-1], 1, 2)).all()
+
+
 class TestProbGoodType:
     def test_singletons_always_good(self):
         res = prob_good_type(PrefixParams(1, 0, 1, 1))
@@ -200,6 +234,26 @@ class TestProbGoodType:
     def test_mc_agrees_with_exact(self):
         res = prob_good_type(PrefixParams(2, 0, 1, 2), trials=100000, seed=3)
         assert abs(res.mc_estimate - float(res.exact)) <= 4 * res.mc_stderr
+
+    def test_mc_is_the_urn_rows_through_the_oracle(self):
+        # 70000 trials take two 65536-row chunks from one generator
+        p, trials, seed, stream = PrefixParams(3, 1, 2, 4), 70000, 11, 2
+        rng = stream_rng(seed, stream)
+        hits = 0
+        for rows in (65536, trials - 65536):
+            hits += sum(fold_good_oracle(tuple(row), p.m, p.ell)
+                        for row in _urn_outcomes(rows, p.alphabet_dim, p.t, rng))
+        res = prob_good_type(p, trials=trials, seed=seed, stream=stream)
+        assert res.trials == trials
+        assert res.mc_estimate == hits / trials
+
+    def test_enumeration_cap(self):
+        with pytest.raises(EnumerationTooLarge):
+            prob_good_type(PrefixParams(2, 1, 1, 3), enum_cap=119)
+        # C(8+3-1, 3) = 120 types; the good ones take 3 of the 4 prefixes
+        # with a free suffix bit each: 4 * 2^3 = 32
+        assert prob_good_type(PrefixParams(2, 1, 1, 3),
+                              enum_cap=120).exact == Fraction(32, 120)
 
     def test_monotone_in_prefix_length(self):
         values = [prob_good_type(PrefixParams(n, 0, 1, 2)).exact
