@@ -18,7 +18,8 @@ C(d,2t) C(2t,t) = C(d,t) C(d-t,t), the two weights are equal and the j = 0
 block is exactly zero; each j >= 1 block is, with s = t - j, C(d,s) C(d-s,s)
 copies of the weight times the adjacency of the Kneser graph K(d-2s, t-s).
 So exact equals the Kneser sum; exact is still computed from the built
-blocks, never from that identity.
+blocks, never from that identity.  Every block is built; only a block with
+a nonzero entry goes to the eigenvalue solver, since a zero block adds 0.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ def ppt_diff_norm(d: int, t: int,
                   & (g[np.ix_(a, a)] + g[np.ix_(b, b)] == 2 * (t - j)))
         block = weight_rho * joined
         block[np.diag_indices(len(a))] -= weight_sigma * (cross.diagonal() == 0)
-        exact += float(np.abs(np.linalg.eigvalsh(block)).sum())
+        if block.any():  # j = 0 is exactly zero, as w_rho == w_sigma
+            exact += float(np.abs(np.linalg.eigvalsh(block)).sum())
 
     kneser_sum = 0.0
     middle = Fraction(0)

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    permute_registers, trace_distance
+    _real_if_exact, numeric_rank, permute_registers, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -495,19 +495,18 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
     rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
-    rho1 = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap).entries
+    ideal = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap)
 
-    vals0, vecs0 = np.linalg.eigh(rho0)
+    vals0, vecs0 = np.linalg.eigh(_real_if_exact(rho0))
     support = vals0 > rel_threshold * vals0.max()
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())
     basis = vecs0[:, support]
-    # a probability: clip the round-off that can carry it just past 1
+    # Tr(P rho1) over the support basis; a probability, so clip the
+    # round-off that can carry it just past 1
     accept_haar = float(np.clip(
-        np.real(np.einsum("ai,ab,bi->", basis.conj(), rho1, basis)), 0.0, 1.0))
-
-    vals1 = np.linalg.eigvalsh(rho1)
-    rank1 = int((np.abs(vals1) > rel_threshold * np.abs(vals1).max()).sum())
+        np.real(np.vdot(basis, _real_if_exact(ideal.entries) @ basis)), 0.0, 1.0))
+    rank1 = numeric_rank(ideal, rel_threshold)
 
     ratio_bound = 2**lam / comb(ell + t, ell)
     for i in range(ell):

@@ -288,6 +288,83 @@ class TestPinvSqrtAndRank:
         assert numeric_rank(sym_projector(2, 2)) == 3
 
 
+def random_rank_density(rng, n, rank, real):
+    """Density of the given rank, nonzero eigenvalues in [1, 2] before
+    normalising, in a random real orthogonal or complex unitary basis."""
+    z = rng.standard_normal((n, n))
+    if not real:
+        z = z + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    vals = np.zeros(n)
+    vals[:rank] = rng.uniform(1.0, 2.0, rank)
+    m = (q * (vals / vals.sum())) @ q.conj().T
+    return Operator(RegisterShape((n,)), (m + m.conj().T) / 2, hermitian_hint=True)
+
+
+class TestRealSpectralPath:
+    """A complex128 operator whose imaginary part is exactly zero is solved by
+    the real symmetric solver; any nonzero imaginary entry keeps it complex."""
+
+    @pytest.fixture
+    def solver_dtypes(self, monkeypatch):
+        seen = []
+        for name in ("eigvalsh", "eigh"):
+            def record(m, *args, _solver=getattr(np.linalg, name), **kwargs):
+                seen.append(np.asarray(m).dtype)
+                return _solver(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, record)
+        return seen
+
+    @pytest.mark.parametrize("real,expected", [(True, np.float64),
+                                               (False, np.complex128)])
+    def test_solver_dtype_follows_imaginary_part(self, solver_dtypes, real, expected):
+        rng = stream_rng(12)
+        a, b = (random_rank_density(rng, 6, 6, real) for _ in range(2))
+        assert a.entries.dtype == np.complex128
+        trace_norm(a)
+        trace_distance(a, b)
+        numeric_rank(a)
+        pinv_sqrt(a)
+        fidelity(a, b)
+        assert len(solver_dtypes) == 7
+        assert all(dt == expected for dt in solver_dtypes)
+
+    def test_one_imaginary_entry_keeps_the_complex_solver(self, solver_dtypes):
+        # the test is exact zero, not a tolerance: 1e-300j is kept
+        m = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+        m[0, 2], m[2, 0] = 1e-300j, -1e-300j
+        numeric_rank(Operator(RegisterShape((3,)), m, hermitian_hint=True))
+        assert solver_dtypes == [np.complex128]
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_complex_oracles(self, real):
+        # oracles: singular values and the complex Hermitian eigh of the
+        # complex128 entries, which never take the real path
+        rng = stream_rng(13 if real else 14)
+        for n, rank in [(5, 5), (8, 3), (16, 16), (16, 7)]:
+            a = random_rank_density(rng, n, rank, real)
+            b = random_rank_density(rng, n, n, real)
+            diff = a.entries - b.entries
+            assert trace_norm(a) == pytest.approx(
+                np.linalg.svd(a.entries, compute_uv=False).sum(), abs=1e-12)
+            assert trace_distance(a, b) == pytest.approx(
+                0.5 * np.linalg.svd(diff, compute_uv=False).sum(), abs=1e-12)
+            vals, vecs = np.linalg.eigh(a.entries)
+            assert numeric_rank(a) == int(
+                (np.abs(vals) > 1e-8 * np.abs(vals).max()).sum()) == rank
+            keep = vals > 1e-10
+            inv_root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
+            np.testing.assert_allclose(pinv_sqrt(a).entries, inv_root, rtol=0,
+                                       atol=1e-12)
+            full = random_rank_density(rng, n, n, real)
+            roots = []
+            for m in (full, b):
+                mv, mu = np.linalg.eigh(m.entries)
+                roots.append((mu * np.sqrt(mv)) @ mu.conj().T)
+            oracle = np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2
+            assert fidelity(full, b) == pytest.approx(oracle, abs=1e-12)
+
+
 class TestPermuteRegisters:
     def test_roundtrip(self):
         rng = stream_rng(10)

@@ -271,10 +271,26 @@ class TestPptChain:
             ppt_diff_norm(10, 2, enum_cap=2024)
         assert ppt_diff_norm(10, 2, enum_cap=2025).exact > 0.0
 
-    @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2)])
+    @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2), (10, 2)])
     def test_blocks_match_dense_subset_pair_build(self, d, t):
         assert ppt_diff_norm(d, t).exact == pytest.approx(
             dense_subset_pair_norm(d, t), abs=1e-12)
+
+    @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2), (10, 2)])
+    def test_zero_block_skips_the_solver(self, d, t, monkeypatch):
+        solved = []
+        solver = np.linalg.eigvalsh
+
+        def record(m, *args, **kwargs):
+            solved.append(np.asarray(m))
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        ppt_diff_norm(d, t)
+        # no solver call sees an all-zero matrix; the j = 0 block (disjoint
+        # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is skipped
+        assert solved and all(m.any() for m in solved)
+        assert comb(d, t) * comb(d - t, t) not in [len(m) for m in solved]
 
     @pytest.mark.parametrize("d,t", [(4, 1), (5, 2), (6, 2)])
     def test_mask_surrogates_match_subset_mixtures(self, d, t):

@@ -510,6 +510,27 @@ class TestRankAttack:
         np.testing.assert_allclose(keyed, oracle, rtol=0, atol=1e-12)
         assert np.linalg.matrix_rank(oracle) == rank_attack(params).rank0
 
+    @pytest.mark.parametrize("lam,n,ell,t", [(1, 2, 1, 1), (2, 2, 1, 2), (3, 3, 1, 2)])
+    def test_matches_complex_eigh_einsum_oracle(self, lam, n, ell, t):
+        # oracle: the complex Hermitian eigh of the keyed state, and Tr(P rho1)
+        # as the three-operand contraction over its support basis, with the
+        # ideal state built as the product of the two Haar moments
+        d = 2**n
+        rho0 = _keyed_state(d, ell + t, n - lam, [range(ell)], DEFAULT_DIM_CAP,
+                            DEFAULT_ENUM_CAP).entries
+        rho1 = np.kron(haar_moment(d, ell).entries, haar_moment(d, t).entries)
+        assert rho0.dtype == np.complex128
+        vals, vecs = np.linalg.eigh(rho0)
+        support = vals > 1e-8 * vals.max()
+        basis = vecs[:, support]
+        accept_haar = np.real(np.einsum("ai,ab,bi->", basis.conj(), rho1, basis))
+        vals1 = np.abs(np.linalg.eigvalsh(rho1))
+        res = rank_attack(PseudoParams(lam, n, ell, t))
+        assert res.rank0 == int(support.sum())
+        assert res.rank1 == int((vals1 > 1e-8 * vals1.max()).sum())
+        assert res.accept_pseudo == pytest.approx(vals[support].sum(), abs=1e-12)
+        assert res.accept_haar == pytest.approx(min(accept_haar, 1.0), abs=1e-12)
+
     def test_ideal_acceptance_is_a_probability(self):
         # the support-basis contraction lands just above 1 in floating point
         res = rank_attack(PseudoParams(3, 3, 1, 2))
