@@ -287,15 +287,11 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
     shape = RegisterShape((d,) * (2 * t))
     rho = haar_moment(d, 2 * t, cap)
-    rho = Operator(shape, rho.entries, hermitian_hint=True)
     sig_half = haar_moment(d, t, cap).entries
     sigma = Operator(shape, np.kron(sig_half, sig_half), hermitian_hint=True)
     b_regs = range(t, 2 * t)
-    diff = Operator(shape,
-                    partial_transpose(rho, b_regs).entries
-                    - partial_transpose(sigma, b_regs).entries,
-                    hermitian_hint=True)
-    half_true = 0.5 * trace_norm(diff)
+    half_true = trace_distance(partial_transpose(rho, b_regs),
+                               partial_transpose(sigma, b_regs))
 
     rho_tilde, sigma_tilde = _subset_surrogates(d, t, rho, sigma)
     slack_identical = trace_distance(rho, rho_tilde)

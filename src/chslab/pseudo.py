@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    _real_if_exact, numeric_rank, permute_registers, trace_distance
+    _psd_eigh, _real_if_exact, numeric_rank, permute_registers, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -488,6 +488,8 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
 
     The measurement projects onto the numerical support of the keyed state
     and its acceptance of the ideal state is compared with rank0/rank1.
+    A keyed state with an eigenvalue below -1e-8 raises ``NotPSD``; a
+    failed eigensolve raises ``EigsFailed``.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     d = 2**n
@@ -497,7 +499,9 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
     ideal = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap)
 
-    vals0, vecs0 = np.linalg.eigh(_real_if_exact(rho0))
+    # clipped negatives never reach the support, so rank0 and accept_pseudo
+    # are those of the unclipped spectrum
+    vals0, vecs0 = _psd_eigh(rho0)
     support = vals0 > rel_threshold * vals0.max()
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())

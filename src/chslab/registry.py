@@ -26,7 +26,7 @@ from . import locc as lc
 from . import pseudo as ps
 from . import typespace as ts
 from .errors import ChslabError, ConfigInvalid
-from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, numeric_rank
+from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, _hermitian_defect, numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -122,7 +122,7 @@ class _Recorder:
 
 def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
     entries = op.entries
-    herm = float(np.abs(entries - entries.conj().T).max())
+    herm = _hermitian_defect(entries)
     rec.close(f"{label}-hermitian-defect", herm, 0.0, EXACT, "hermitian", 1e-10)
     rec.close(f"{label}-trace", float(np.real(np.trace(entries))), 1.0, EXACT,
               "trace", 1e-10)

@@ -194,14 +194,9 @@ def type_state(T: TypeVector, cap: int = DEFAULT_DIM_CAP) -> StateVector:
     return StateVector(RegisterShape((d,) * t), amps)
 
 
-def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
-                  enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
-    """Projector onto the permutation-invariant subspace of (C^d)^(x)t.
-
-    Its entry at (r, s) is 1/|class| when the basis labels r and s are
-    arrangements of the same type and 0 otherwise: the sum of |T><T| over
-    types, built from the sorted digits of each flat index.
-    """
+def _type_class_matrix(d: int, t: int, cap: int, enum_cap: int) -> np.ndarray:
+    """The float64 matrix of :func:`sym_projector`: 1/|class| at (r, s)
+    when the basis labels r and s are arrangements of the same type."""
     if d < 1 or t < 0:
         raise ParameterError(f"bad alphabet/total: d={d}, t={t}")
     dim = d**t
@@ -215,8 +210,19 @@ def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     digits = np.sort(np.arange(dim, dtype=np.int64)[:, None] // powers % d, axis=1)
     label = digits @ powers
     class_size = np.bincount(label, minlength=dim)[label]
-    out = np.equal.outer(label, label) / class_size[:, None]
-    return Operator(RegisterShape((d,) * t), out, hermitian_hint=True)
+    return np.equal.outer(label, label) / class_size[:, None]
+
+
+def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
+                  enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
+    """Projector onto the permutation-invariant subspace of (C^d)^(x)t.
+
+    Its entry at (r, s) is 1/|class| when the basis labels r and s are
+    arrangements of the same type and 0 otherwise: the sum of |T><T| over
+    types, built from the sorted digits of each flat index.
+    """
+    return Operator(RegisterShape((d,) * t), _type_class_matrix(d, t, cap, enum_cap),
+                    hermitian_hint=True)
 
 
 def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Operator:
@@ -239,9 +245,11 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
     """Exact t-th moment of the projector onto a Haar-random state in C^d:
-    the type-class projector :func:`sym_projector` over C(d+t-1, t)."""
-    proj = sym_projector(d, t, cap, enum_cap)
-    return Operator(proj.shape, proj.entries / comb(d + t - 1, t), hermitian_hint=True)
+    the type-class projector :func:`sym_projector` over C(d+t-1, t), divided
+    in float64 before the one complex128 copy is made."""
+    moment = _type_class_matrix(d, t, cap, enum_cap)
+    moment /= comb(d + t - 1, t)
+    return Operator(RegisterShape((d,) * t), moment, hermitian_hint=True)
 
 
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ from chslab.errors import (
     ShapeMismatch,
 )
 from chslab.linalg import (
+    HERM_TOL,
     Operator,
     RegisterShape,
     StateVector,
@@ -23,6 +24,7 @@ from chslab.linalg import (
     tensor,
     trace_distance,
     trace_norm,
+    _hermitian_defect,
 )
 from chslab.rng import stream_rng
 from chslab.typespace import sym_projector
@@ -78,6 +80,52 @@ class TestShapes:
         with pytest.raises(ParameterError):
             Operator(QUBIT, np.array([[0, 1], [0, 0]], dtype=complex),
                      hermitian_hint=True)
+
+
+def one_shot_defect(m):
+    """The untiled Hermitian defect, the oracle for the tiled check."""
+    return float(np.abs(m - m.conj().T).max())
+
+
+class TestHermitianCheck:
+    """The tiled check is the one-shot maximum, bit for bit, and fails on
+    any defect, NaN or infinity wherever it sits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_tiled_defect_equals_one_shot(self, n):
+        rng = stream_rng(n)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        near = random_hermitian(rng, n) + 1e-13 * z
+        for m in (z, near, random_hermitian(rng, n)):
+            assert _hermitian_defect(m) == one_shot_defect(m)
+
+    def test_far_off_diagonal_tile_defect_rejected(self):
+        # (0, 299) sits only in the tile pair (rows 0-127, columns 256-299)
+        m = random_hermitian(stream_rng(21), 300)
+        Operator(RegisterShape((300,)), m, hermitian_hint=True)
+        m[0, 299] += 10 * HERM_TOL
+        assert _hermitian_defect(m) == one_shot_defect(m) > HERM_TOL
+        with pytest.raises(ParameterError):
+            Operator(RegisterShape((300,)), m, hermitian_hint=True)
+
+    def test_nan_off_diagonal_rejected(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(ParameterError):
+            Operator(QUBIT, m, hermitian_hint=True)
+
+    # inf - inf is NaN, which numpy reports while the check fails as it should
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_inf_diagonal_rejected(self):
+        m = np.diag([np.inf, 1.0]).astype(complex)
+        with pytest.raises(ParameterError):
+            Operator(QUBIT, m, hermitian_hint=True)
+
+    def test_nan_in_last_tile_rejected(self):
+        m = random_hermitian(stream_rng(22), 300)
+        m[299, 299] = np.nan
+        with pytest.raises(ParameterError):
+            Operator(RegisterShape((300,)), m, hermitian_hint=True)
 
 
 class TestTensor:
@@ -225,6 +273,18 @@ class TestNormsAndDistances:
         assert trace_distance(zero, zero) == 0.0
         assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [(True, True), (True, False)])
+    def test_distance_matches_svd_past_one_tile(self, flags):
+        # oracle: singular values of the difference; (True, False) takes the
+        # SVD path, (True, True) the eigenvalue path on the raw difference
+        rng = stream_rng(23)
+        shape = RegisterShape((10, 30))
+        a, b = (random_density(rng, shape) for _ in range(2))
+        a, b = (Operator(shape, m.entries, hermitian_hint=flag)
+                for m, flag in zip((a, b), flags))
+        oracle = 0.5 * np.linalg.svd(a.entries - b.entries, compute_uv=False).sum()
+        assert trace_distance(a, b) == pytest.approx(oracle, abs=1e-12)
 
     def test_distance_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

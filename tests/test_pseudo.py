@@ -8,7 +8,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from chslab.errors import DimensionOverflow, ParameterError, PreconditionViolated
+from chslab.errors import (
+    DimensionOverflow,
+    EigsFailed,
+    NotPSD,
+    ParameterError,
+    PreconditionViolated,
+)
 from chslab.linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, pinv_sqrt
 from chslab.pseudo import (
     PrfsInput,
@@ -485,6 +491,22 @@ class TestRankAttack:
         assert res.accept_haar <= res.rank0 / res.rank1 + 1e-9
         assert res.ratio_bound == pytest.approx(
             4 / comb(3, 1) * (1 + 2 / 4), abs=1e-12)
+
+    def test_solver_failure_becomes_eigs_failed(self, monkeypatch):
+        def fail(m, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigsFailed):
+            rank_attack(PseudoParams(2, 2, 1, 1))
+
+    def test_negative_keyed_eigenvalue_raises_not_psd(self, monkeypatch):
+        solve = np.linalg.eigh
+        def one_negative(m, *args, **kwargs):
+            vals, vecs = solve(m, *args, **kwargs)
+            return np.concatenate([[-1e-6], vals[1:]]), vecs
+        monkeypatch.setattr(np.linalg, "eigh", one_negative)
+        with pytest.raises(NotPSD):
+            rank_attack(PseudoParams(2, 2, 1, 1))
 
     def test_custom_unitary_family_matches_default(self):
         # oracle: the explicit keyed family average sum_k W_k M W_k^dag / 2^lam,

@@ -138,6 +138,12 @@ class TestHaarMoment:
         avg /= len(types)
         assert np.abs(haar_moment(d, t).entries - avg).max() < 1e-12
 
+    @pytest.mark.parametrize("d,t", [(2, 3), (4, 2), (8, 3), (32, 2)])
+    def test_bit_identical_to_projector_over_count(self, d, t):
+        # oracle: the projector's complex entries divided by the type count
+        assert np.array_equal(haar_moment(d, t).entries,
+                              sym_projector(d, t).entries / comb(d + t - 1, t))
+
     def test_monte_carlo_agreement(self):
         rng = stream_rng(13)
         block = haar_states_block(2, 100000, rng)
