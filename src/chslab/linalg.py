@@ -170,7 +170,9 @@ def _hermitian_defect(m: np.ndarray) -> float:
     or above the diagonal cover every pair.  A NaN in any tile gives NaN.
     """
     n = len(m)
-    if n <= _HERM_TILE:  # one tile: no slicing, no list
+    if n <= _HERM_TILE:
+        # One tile: the loop would give the same value but adds about 6 us
+        # of slicing and list overhead, 2-3x the whole check at D <= 16.
         return float(np.abs(m - m.conj().T).max())
     t = _HERM_TILE
     tile_max = [np.abs(m[r:r + t, c:c + t] - m[c:c + t, r:r + t].conj().T).max()

@@ -1,28 +1,36 @@
 """Alternating benchmark pairs between a parent and a change checkout.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seed S --pairs N --pr P [--seconds 40] [--trace]
+        --seed S --pairs N --pr P [--trace]
 
 Each run is one ``python3 perfbench/run.py`` invocation inside one checkout
-(for example two ``git clone``s in a scratch directory), so both sides run their own
-benchmark files with the same settings.  Pair i runs the parent first when
-i is even and the change first otherwise.  The pairs and their summary go
-under the key ``<workload>_seed<S>`` (``..._traced`` with ``--trace``) of
-``BENCH_<P>.json`` at the root of this repository; the file is created or
-updated in place, so one file collects several workloads and seeds.  The
-summary gives, per metric, each side's median and inclusive quartiles, the
-number of pairs the change won (ties count for neither side), the median
-difference (parent minus change, signed so that positive is better for the
-change) and the parent's interquartile range.  The environment records the
-CPU count, numpy and its BLAS build (``np.show_config(mode="dicts")``,
-install directories left out) and
-the thread variables, both as the benchmark pins them and as this shell
-had them.
+(for example two ``git clone``s in a scratch directory), so both sides run
+their own benchmark files with the same settings.  Every run lasts the
+benchmark's own ``run_seconds`` from the change checkout's
+``BENCHMARK.json``, so all entries of one ``BENCH_<P>.json`` share one run
+length.  Before the first pair both checkouts' ``src`` and ``perfbench``
+are compiled to bytecode, so neither side compiles its modules in every
+fresh process: with ``PYTHONDONTWRITEBYTECODE`` set, a checkout without
+``__pycache__`` would pay that in every round's ``setup_s`` (about 34 ms
+for chslab on a 2-vCPU machine) and the other side might not.  Pair i runs
+the parent first when i is even and the change first otherwise.  The pairs
+and their summary go under the key ``<workload>_seed<S>`` (``..._traced``
+with ``--trace``) of ``BENCH_<P>.json`` at the root of this repository; the
+file is created or updated in place, so one file collects several workloads
+and seeds.  The summary gives, per metric, each side's median and inclusive
+quartiles, the number of pairs the change won (ties count for neither
+side), the median difference (parent minus change, signed so that positive
+is better for the change) and the parent's interquartile range.  The
+environment records the CPU count, numpy and its BLAS build
+(``np.show_config(mode="dicts")``, install directories left out) and the
+thread variables, both as the benchmark pins them and as this shell had
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -38,7 +46,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+def run_once(checkout: Path, workload: str, seed: int, seconds: int,
              trace: bool) -> tuple[dict, dict]:
     """One benchmark invocation; returns its run record and environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -98,7 +106,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args()
     if args.pairs < 1:
@@ -107,8 +114,11 @@ def main() -> int:
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
+        for part in ("src", "perfbench"):
+            compileall.compile_dir(path / part, quiet=1)
 
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     higher_better = {m["name"] for m in spec["end_to_end"] + spec.get("per_layer", [])
                      if m["better"] == "higher"}
 
@@ -118,7 +128,7 @@ def main() -> int:
         pair = {"pair": i, "first": order[0]}
         for side in order:
             pair[side], env = run_once(checkouts[side], args.workload, args.seed,
-                                       args.seconds, args.trace)
+                                       seconds, args.trace)
             metrics = pair[side]["metrics"]
             shown = {k: metrics[k] for k in ("wall_s", "setup_s", "peak_rss_mb")
                      if k in metrics}
@@ -130,10 +140,11 @@ def main() -> int:
     bench = json.loads(out.read_text()) if out.is_file() else {}
     bench.update({
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0|1",
+                   f"--seconds {seconds} --trace 0|1",
         "parent_commit": git_head(checkouts["parent"]),
         "method": "each run is one perfbench invocation on its own checkout of "
-                  "one side; pairs alternate which side runs first; quartiles "
+                  "one side, both compiled to bytecode before the first pair; "
+                  "pairs alternate which side runs first; quartiles "
                   "are inclusive; median_difference is parent minus change, "
                   "signed so that positive favours the change",
         "environment": {
