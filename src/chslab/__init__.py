@@ -35,7 +35,6 @@ from .linalg import (
     partial_transpose,
     permute_registers,
     pinv_sqrt,
-    tensor,
     trace_distance,
     trace_norm,
 )

@@ -136,8 +136,8 @@ def main(argv=None) -> int:
                         help="flat-dimension cap override")
     parser.add_argument("--cap-enum", type=int, default=None,
                         help="enumeration cap override")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel experiments per suite")
+    # ignored; frozen perfbench passes --jobs 1, so it goes with benchmark v2 (ROADMAP item 1)
+    parser.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config")
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
             stem = f"{config.experiment}-{config.seed}"
         else:
             seed = args.seed if args.seed is not None else 0
-            reports = run_suite(args.name, seed, _caps(Caps(), args), jobs=args.jobs)
+            reports = run_suite(args.name, seed, _caps(Caps(), args))
             fmt = args.format or "json"
             out = args.out
             stem = f"suite-{args.name}-{seed}"

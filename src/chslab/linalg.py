@@ -45,7 +45,6 @@ __all__ = [
     "RegisterShape",
     "StateVector",
     "Operator",
-    "tensor",
     "partial_trace",
     "partial_transpose",
     "permute_registers",
@@ -96,9 +95,6 @@ class RegisterShape:
             if not 0 <= r < len(self.dims):
                 raise BadRegisterIndex(f"register {r} out of range for {self.dims}")
         return regs
-
-    def concat(self, other: "RegisterShape") -> "RegisterShape":
-        return RegisterShape(self.dims + other.dims)
 
 
 @dataclass(frozen=True)
@@ -178,18 +174,6 @@ def _hermitian_defect(m: np.ndarray) -> float:
     tile_max = [np.abs(m[r:r + t, c:c + t] - m[c:c + t, r:r + t].conj().T).max()
                 for r in range(0, n, t) for c in range(r, n, t)]
     return float(np.max(tile_max))  # np.max keeps a NaN; builtin max may drop it
-
-
-def tensor(a, b, cap: int = DEFAULT_DIM_CAP):
-    """Kronecker product of two states or two operators (big-endian order)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        shape = a.shape.concat(b.shape).check_cap(cap)
-        return StateVector(shape, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        shape = a.shape.concat(b.shape).check_cap(cap)
-        return Operator(shape, np.kron(a.entries, b.entries),
-                        hermitian_hint=a.hermitian_hint and b.hermitian_hint)
-    raise ShapeMismatch("tensor requires two StateVectors or two Operators")
 
 
 def _as_legs(m: Operator) -> np.ndarray:

@@ -24,7 +24,6 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    DimensionOverflow,
     ParameterError,
     PreconditionViolated,
     ShapeMismatch,
@@ -332,9 +331,6 @@ def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
         raise ParameterError(f"params ell={p.ell} != sum of copy counts {ell}")
     _require_good(T, p, enum_cap)
     d, total = T.alphabet_dim, T.total
-    if d**total > cap:
-        raise DimensionOverflow(f"dimension {d}^{total} exceeds cap {cap}")
-
     offsets = np.cumsum((0,) + mults)
     blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(queries))]
     psi = type_state(T, cap).amplitudes
@@ -364,10 +360,9 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
                  cap: int, enum_cap: int) -> Operator:
     """Keyed copies plus shared copies, averaged over the whole key space:
     the total-copy Haar moment dephased by the charges' label mask."""
-    shape = RegisterShape((d,) * total).check_cap(cap)
-    moment = haar_moment(d, total, cap, enum_cap).entries
-    return Operator(shape, moment * _label_mask(d, total, suffix_shift, charges),
-                    hermitian_hint=True)
+    moment = haar_moment(d, total, cap, enum_cap)
+    mask = _label_mask(d, total, suffix_shift, charges)
+    return Operator(moment.shape, moment.entries * mask, hermitian_hint=True)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:

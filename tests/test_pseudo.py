@@ -262,6 +262,15 @@ class TestPrfsTypeLemma:
         with pytest.raises(PreconditionViolated):
             lemma_prfs_type_check(T, [(0,), (0,)], (1, 1), p)
 
+    def test_dimension_cap(self):
+        # two registers of dimension 4: flat dimension 16
+        p = PrefixParams(2, 0, 2, 2)
+        T = TypeVector.from_elements(4, (0, 1))
+        with pytest.raises(DimensionOverflow):
+            lemma_prfs_type_check(T, [(0,), (1,)], (1, 1), p, cap=15)
+        res = lemma_prfs_type_check(T, [(0,), (1,)], (1, 1), p, cap=16)
+        assert res.discrepancy < 1e-12
+
 
 def generator_phases(apply, d):
     """Diagonal of a diagonal +-1 generator on C^d, read off the uniform state."""
@@ -562,6 +571,7 @@ class TestRankAttack:
         # (ell + t) = 2 registers of dimension 4: 16 against a cap of 15
         with pytest.raises(DimensionOverflow):
             rank_attack(PseudoParams(1, 2, 1, 1), cap=15)
+        assert rank_attack(PseudoParams(1, 2, 1, 1), cap=16).accept_pseudo > 0.0
 
     def test_larger_point_keeps_inequality(self):
         res = rank_attack(PseudoParams(3, 3, 1, 1))
@@ -596,6 +606,7 @@ class TestOnewayness:
         # 4^2 = 16 flat dimension against a cap of 15
         with pytest.raises(DimensionOverflow):
             onewayness_quantity(2, 1, cap=15)
+        assert onewayness_quantity(2, 1, cap=16)[0] > 0.0
 
     def test_bound_points(self):
         value, bound = onewayness_quantity(1, 1)

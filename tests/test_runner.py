@@ -1,6 +1,5 @@
 """Tests for the experiment registry, report formats, and the CLI."""
 
-import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -137,53 +136,6 @@ class TestSuiteRun:
         reports = run_suite("lemmas", seed=5)
         assert all(r.passed for r in reports)
 
-    def test_parallel_matches_serial(self):
-        # identical modulo runtime_ms, which is wall-clock metadata
-        serial = run_suite("lemmas", seed=5, jobs=1)
-        parallel = run_suite("lemmas", seed=5, jobs=2)
-        def strip(reports):
-            return [
-                (r.experiment, r.seed,
-                 [(c.name, repr(c.value), repr(c.reference), c.mode, c.passed)
-                  for c in r.checks])
-                for r in reports
-            ]
-        assert strip(serial) == strip(parallel)
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, tmp_path, jobs):
-        with pytest.raises(ConfigInvalid):
-            run_suite("lemmas", seed=5, jobs=jobs)
-        out = tmp_path / "s.json"
-        assert main(["--jobs", str(jobs), "--out", str(out), "suite", "lemmas"]) == 2
-        assert not out.exists()
-
-    def test_pool_never_exceeds_experiment_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps serially, so no
-        # process is ever started
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        count = len(suite_experiments("lemmas"))
-        reports = run_suite("lemmas", seed=5, jobs=10**6)
-        assert sizes == [count]
-        assert [r.experiment for r in reports] == suite_experiments("lemmas")
-        run_suite("lemmas", seed=5, jobs=2)
-        assert sizes == [count, 2]
-
 
 class TestReportFormats:
     def test_json_schema_valid(self):
@@ -236,6 +188,31 @@ name = prs-decay
 lams = 2,3
 """)
         assert main(["--out", str(tmp_path / "d.json"), "run", cfg]) == 0
+
+    @pytest.mark.parametrize("name,line", [
+        ("prs-hybrid", "lam = abc"), ("prs-hybrid", "ell = 1.5"), ("kneser", "v = 5,6"),
+        ("prs-decay", "lams = true"), ("prfs-hybrid", "queries = 0,1"),
+    ])
+    def test_param_of_wrong_kind_exits_two(self, tmp_path, name, line):
+        cfg = self.write_config(
+            tmp_path, f"[experiment]\nname = {name}\n\n[params]\n{line}\n")
+        out = tmp_path / "w.json"
+        assert main(["--out", str(out), "run", cfg]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_hidden_jobs_flag_is_ignored(self, tmp_path, jobs):
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["--seed", "5", "--out", str(plain), "suite", "lemmas"]) == 0
+        assert main(["--seed", "5", "--jobs", jobs, "--out", str(flagged),
+                     "suite", "lemmas"]) == 0
+
+        def rows(path):
+            # runtime_ms is wall-clock metadata, the only field that may differ
+            return [[{k: v for k, v in c.items() if k != "runtime_ms"} for c in r["checks"]]
+                    for r in json.loads(path.read_text())]
+
+        assert rows(plain) == rows(flagged)
 
     def test_seed_override_and_csv(self, tmp_path):
         cfg = self.write_config(tmp_path, """

@@ -7,7 +7,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from chslab.errors import EnumerationTooLarge, NotCollisionFree, ParameterError
+from chslab.errors import (
+    DimensionOverflow,
+    EnumerationTooLarge,
+    NotCollisionFree,
+    ParameterError,
+)
 from chslab.rng import stream_rng
 from chslab.typespace import (
     PrefixParams,
@@ -74,6 +79,19 @@ class TestEnumerateTypes:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             enumerate_types(100, 10, enum_cap=1000)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cap: type_state(TypeVector.from_elements(4, (0, 1)), cap),
+    lambda cap: sym_projector(4, 2, cap),
+    lambda cap: haar_moment(4, 2, cap),
+    lambda cap: permutation_symmetrizer(4, 2, cap),
+], ids=["type_state", "sym_projector", "haar_moment", "permutation_symmetrizer"])
+def test_dimension_cap(build):
+    # two registers of dimension 4: flat dimension 16
+    with pytest.raises(DimensionOverflow):
+        build(15)
+    assert build(16).dim == 16
 
 
 class TestTypeState:

@@ -20,7 +20,11 @@ file is created or updated in place, so one file collects several workloads
 and seeds.  The summary gives, per metric, each side's median and inclusive
 quartiles, the number of pairs the change won (ties count for neither
 side), the median difference (parent minus change, signed so that positive
-is better for the change) and the parent's interquartile range.  The
+is better for the change) and the parent's interquartile range; next to
+the metrics it counts, per side, the runs whose checks were not all correct
+(``runs_incorrect``) and the failed operations (``ops_failed``).  After
+writing the file the tool exits 1 when any change run was incorrect or the
+change failed more operations than the parent.  The
 environment records the CPU count, numpy and its BLAS build
 (``np.show_config(mode="dicts")``, install directories left out) and the
 thread variables, both as the benchmark pins them and as this shell had
@@ -86,6 +90,10 @@ def summarise(pairs: list[dict], higher_better: set[str]) -> dict:
             "median_difference": sign * (p["median"] - c["median"]),
             "parent_iqr": p["q3"] - p["q1"],
         }
+    summary["runs_incorrect"] = {side: sum(not pair[side]["correct"] for pair in pairs)
+                                 for side in SIDES}
+    summary["ops_failed"] = {side: sum(pair[side]["failed"] for pair in pairs)
+                             for side in SIDES}
     return summary
 
 
@@ -160,9 +168,15 @@ def main() -> int:
         },
     })
     key = f"{args.workload}_seed{args.seed}" + ("_traced" if args.trace else "")
-    bench[key] = {"pairs": pairs, "summary": summarise(pairs, higher_better)}
+    summary = summarise(pairs, higher_better)
+    bench[key] = {"pairs": pairs, "summary": summary}
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {key} to {out}")
+    incorrect, failed = summary["runs_incorrect"], summary["ops_failed"]
+    if incorrect["change"] or failed["change"] > failed["parent"]:
+        print(f"change failed its checks: runs incorrect {incorrect}, "
+              f"operations failed {failed}", file=sys.stderr)
+        return 1
     return 0
 
 
