@@ -39,8 +39,6 @@ OUTDIR_ENV = "CHSLAB_OUTDIR"
 
 def _parse_scalar(text: str):
     text = text.strip()
-    if "," in text:
-        return tuple(_parse_scalar(part) for part in text.split(",") if part.strip())
     for caster in (int, float):
         try:
             return caster(text)
@@ -49,6 +47,30 @@ def _parse_scalar(text: str):
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     return text
+
+
+def _parse_param(name: str, text: str, default):
+    """A ``[params]`` value read against its default's shape.
+
+    A tuple default takes a comma list, and one value makes a one-item
+    tuple.  A tuple-of-tuples default takes ';'-separated comma lists, so
+    ``0; 1`` is ``((0,), (1,))``; a comma list without ';' is refused as
+    ambiguous (write ``0, 1;`` for one inner tuple).  An empty list is
+    refused.  Anything else is :func:`_parse_scalar`'s."""
+    if not isinstance(default, tuple) or not default:
+        return _parse_scalar(text)
+    if isinstance(default[0], tuple):
+        if ";" not in text and "," in text:
+            raise ConfigInvalid(
+                f"parameter {name}: separate the inner lists of {text.strip()!r} "
+                "with ';'")
+        parts = text.split(";")
+    else:
+        parts = text.split(",")
+    value = tuple(_parse_param(name, part, default[0]) for part in parts if part.strip())
+    if not value:
+        raise ConfigInvalid(f"parameter {name} needs at least one value")
+    return value
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
@@ -60,7 +82,8 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
     if "experiment" not in parser or "name" not in parser["experiment"]:
         raise ConfigInvalid("config needs an [experiment] section with a name")
     name = parser["experiment"]["name"].strip()
-    params = {k: _parse_scalar(v) for k, v in parser.items("params")} \
+    defaults = REGISTRY[name].defaults if name in REGISTRY else {}
+    params = {k: _parse_param(k, v, defaults.get(k)) for k, v in parser.items("params")} \
         if "params" in parser else {}
     try:
         seed = int(parser["experiment"].get("seed", "0"))

@@ -4,11 +4,14 @@ The lower bound is the collision tester: both parties measure every copy in
 the computational basis and accept when all outcomes are distinct.  Its
 advantage has an exact closed form in binomial ratios.  Its Monte Carlo
 estimate never builds a state: a Haar state's basis probabilities are
-Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j repeats an
-earlier outcome with probability j/(d+j), else it is a uniform outcome),
-drawn in fixed seeded blocks, all in the calling process.  The urn is
-``typespace._urn_outcomes``, the one sampler of uniform types, which the
-good-type estimate shares.  The upper bound goes
+Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j takes k
+uniform in [0, d+j) and repeats earlier draw k when k < j, else it is the
+fresh outcome k - j), drawn in fixed seeded blocks, all in the calling
+process.  The draws come from ``typespace._urn_draws``, one exact
+bounded-integer call per draw, the primitive the good-type sampler shares.
+The tester reads the raw draws: a trial is collision-free exactly when
+every draw is fresh and the fresh outcomes are distinct, so it never
+resolves repeats into outcomes and never sorts.  The upper bound goes
 through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
 is computed exactly in the basis of t-subset pairs (a, b), where it is block
@@ -41,7 +44,7 @@ from .linalg import (
     trace_norm,
 )
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, _urn_outcomes, haar_moment
+from .typespace import DEFAULT_ENUM_CAP, _urn_draws, haar_moment
 
 _MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
@@ -134,20 +137,35 @@ def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
     return (np.diff(srt, axis=1) != 0).all(axis=1)
 
 
+def _fresh_and_distinct(ks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per column of raw urn draws ``ks`` (one row per draw): True iff no
+    draw repeats an earlier one and the fresh outcomes are pairwise
+    distinct.  Draw j of an urn repeats when k < j and is otherwise the
+    fresh outcome k - j, so ``offsets`` holds each row's j."""
+    fresh = ks - offsets[:, None]
+    ok = (fresh >= 0).all(axis=0)
+    for j in range(1, len(fresh)):
+        ok &= (fresh[:j] != fresh[j]).all(axis=0)
+    return ok
+
+
 def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
               t: int) -> tuple[int, int]:
     """No-collision hit counts for one deterministic trial block.
 
     The trials are paired: the shared-state branch measures 2t copies of
     one state (urn A), and the independent branch combines the first t of
-    those outcomes with t outcomes of a second state (urn B).
+    those outcomes with t outcomes of a second state (urn B).  Both read
+    the raw draws: a trial is collision-free exactly when every draw is
+    fresh and the fresh outcomes are distinct, so no outcome is resolved.
     """
     rng = stream_rng(seed, (stream, block))
-    out_shared = _urn_outcomes(rows, d, 2 * t, rng)
-    hits_identical = int(_all_distinct(out_shared).sum())
-    both = np.concatenate(
-        [out_shared[:, :t], _urn_outcomes(rows, d, t, rng)], axis=1)
-    return hits_identical, int(_all_distinct(both).sum())
+    draws_a = _urn_draws(rows, d, 2 * t, rng)
+    draws_b = _urn_draws(rows, d, t, rng)
+    hits_identical = _fresh_and_distinct(draws_a, np.arange(2 * t))
+    hits_independent = _fresh_and_distinct(
+        np.concatenate([draws_a[:t], draws_b]), np.tile(np.arange(t), 2))
+    return int(hits_identical.sum()), int(hits_independent.sum())
 
 
 def locc_advantage_mc(lp: LoccParams, stream: int = 0,
@@ -155,13 +173,16 @@ def locc_advantage_mc(lp: LoccParams, stream: int = 0,
     """Monte Carlo estimate of the no-collision advantage with its stderr.
 
     A Haar state's basis probabilities are Dirichlet(1,...,1), so its
-    measured copies are drawn as a Polya urn (:func:`_urn_outcomes`), O(t)
-    per trial and no state amplitudes.  Trials run in fixed blocks of
+    measured copies are drawn as a Polya urn, one exact bounded-integer
+    call per draw (``typespace._urn_draws``), O(t) per trial and no state
+    amplitudes.  Each trial is tested on the raw draws, fresh and distinct,
+    never resolved or sorted.  Trials run in fixed blocks of
     ``_MC_BLOCK``, one RNG sub-stream per block, every block in this
-    process; ``workers`` is accepted for compatibility and cannot change
-    the result.  The quoted stderr
-    treats the branches as independent, which is conservative for the
-    paired sampler.
+    process.  ``workers`` is accepted and ignored, because perfbench's
+    collision-mc still passes it (ROADMAP item 1); it cannot change the
+    result.  The quoted
+    stderr treats the branches as independent, which is conservative for
+    the paired sampler.
     """
     if lp.t == 0:
         return 0.0, 0.0

@@ -13,10 +13,12 @@ lexicographic on the sorted element tuple.
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
 tests arrays of element rows at once, and one sampler of uniform types,
-the Polya urn :func:`_urn_outcomes`: t draws from a Dirichlet(1,...,1)
-outcome law land on each multiset with probability
-t! / (d (d+1) ... (d+t-1)) = 1 / C(d+t-1, t).  The collision tester in
-:mod:`chslab.locc` draws its measurement outcomes from the same urn.
+the Polya urn: t draws from a Dirichlet(1,...,1) outcome law land on each
+multiset with probability t! / (d (d+1) ... (d+t-1)) = 1 / C(d+t-1, t).
+The urn has one draw primitive, :func:`_urn_draws`, one exact
+bounded-integer call per draw; :func:`_urn_outcomes` resolves its repeats
+into outcomes.  The collision tester in :mod:`chslab.locc` reads the raw
+draws of the same primitive and never resolves them.
 """
 
 from __future__ import annotations
@@ -254,23 +256,35 @@ def sample_haar(d: int, seed: int, stream: int = 0) -> StateVector:
     return StateVector(RegisterShape((d,)), amps)
 
 
+def _urn_draws(rows: int, d: int, draws: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The raw Polya-urn draws of ``rows`` fresh Haar states, ``draws`` copies
+    each, as a (draws, rows) array: row j holds k uniform in [0, d + j),
+    drawn by one exact bounded-integer call per draw."""
+    ks = np.empty((draws, rows), dtype=np.int64)
+    for j in range(draws):
+        ks[j] = rng.integers(0, d + j, size=rows)
+    return ks
+
+
 def _urn_outcomes(rows: int, d: int, draws: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Computational-basis outcomes of ``draws`` copies of fresh Haar states.
 
     One row per state.  A Haar state's basis probabilities are
     Dirichlet(1,...,1), so its measured copies follow a Polya urn: draw j
-    takes k uniform in [0, d + j) and repeats earlier draw k when k < j,
-    else it is the fresh outcome k - j.  A row with counts c has probability
-    prod c_i! / (d (d+1) ... (d+draws-1)) and draws! / prod c_i! orderings,
-    so its multiset is a uniform type: probability 1 / C(d+draws-1, draws).
+    takes k uniform in [0, d + j) (:func:`_urn_draws`) and repeats earlier
+    draw k when k < j, else it is the fresh outcome k - j.  A row with
+    counts c has probability prod c_i! / (d (d+1) ... (d+draws-1)) and
+    draws! / prod c_i! orderings, so its multiset is a uniform type:
+    probability 1 / C(d+draws-1, draws).
     """
-    ks = rng.integers(0, d + np.arange(draws), size=(rows, draws))
-    out = ks - np.arange(draws)
+    ks = _urn_draws(rows, d, draws, rng)
+    out = ks - np.arange(draws)[:, None]
     for j in range(1, draws):
-        rep = np.flatnonzero(ks[:, j] < j)
-        out[rep, j] = out[rep, ks[rep, j]]
-    return out
+        rep = np.flatnonzero(ks[j] < j)
+        out[j, rep] = out[ks[j, rep], rep]
+    return out.T
 
 
 def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from chslab.locc import (
     locc_advantage_mc,
     ppt_diff_norm,
     ppt_vs_haar_bound,
+    _all_distinct,
+    _mc_block,
     _subset_surrogates,
 )
 from chslab.rng import stream_rng
@@ -125,6 +127,18 @@ class TestMonteCarlo:
         assert locc_advantage_mc(lp, stream=3, workers=1) == first
         assert locc_advantage_mc(lp, stream=3) == first
         assert locc_advantage_mc(lp, stream=4) != first
+
+    @pytest.mark.parametrize("d,t", [(3, 1), (4, 2), (16, 4), (1024, 4)])
+    def test_block_hits_match_resolved_outcomes(self, d, t):
+        # oracle: resolve both urns from the block's generator into outcomes
+        # and sort-test every row; the block must count the same trials
+        seed, stream, block, rows = 31, 2, 5, 8192
+        rng = stream_rng(seed, (stream, block))
+        shared = _urn_outcomes(rows, d, 2 * t, rng)
+        both = np.concatenate([shared[:, :t], _urn_outcomes(rows, d, t, rng)], axis=1)
+        want = (int(_all_distinct(shared).sum()), int(_all_distinct(both).sum()))
+        assert 0 < want[0] and want[1] < rows  # both verdicts occur
+        assert _mc_block(seed, stream, block, rows, d, t) == want
 
     def test_identical_branch_collision_histogram(self):
         # measured type of 2t draws from one Haar state must be uniform over

@@ -189,9 +189,46 @@ lams = 2,3
 """)
         assert main(["--out", str(tmp_path / "d.json"), "run", cfg]) == 0
 
+    @pytest.mark.parametrize("name,body,params", [
+        # one value for a tuple default is a one-item tuple, at both levels
+        ("prs-decay", "lams = 3", {"lams": (3,)}),
+        ("prfs-hybrid", "queries = 1\nells = 1", {"queries": ((1,),), "ells": (1,)}),
+        # ';' separates the inner tuples of a tuple-of-tuples default
+        ("prfs-hybrid", "queries = 0; 1", {}),
+        ("prfs-type", "queries = 0 ; 1 ;\nells = 1, 1", {}),
+    ])
+    def test_list_params_match_direct_run(self, tmp_path, name, body, params):
+        cfg = self.write_config(
+            tmp_path, f"[experiment]\nname = {name}\nseed = 3\n\n[params]\n{body}\n")
+        out = tmp_path / "l.json"
+        assert main(["--out", str(out), "run", cfg]) == 0
+        direct = json.loads(report_to_json(run(ExperimentConfig(name, params, seed=3))))
+
+        def strip(reports):
+            # runtime_ms is wall-clock metadata, the only field that may differ
+            return [r | {"checks": [{k: v for k, v in c.items() if k != "runtime_ms"}
+                                    for c in r["checks"]]} for r in reports]
+
+        assert strip(json.loads(out.read_text())) == strip(direct)
+
+    def test_one_item_list_matches_defaults_row(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, "[experiment]\nname = prs-decay\n\n[params]\nlams = 3\n")
+        out = tmp_path / "one.json"
+        assert main(["--out", str(out), "run", cfg]) == 0
+        one = json.loads(out.read_text())[0]
+        assert one["params"]["lams"] == [3]
+        default = run(ExperimentConfig("prs-decay"))
+        want = next(c.value for c in default.checks if c.name == "trace-distance-lam3")
+        assert [c["value"] for c in one["checks"]
+                if c["name"] == "trace-distance-lam3"] == [want]
+
     @pytest.mark.parametrize("name,line", [
         ("prs-hybrid", "lam = abc"), ("prs-hybrid", "ell = 1.5"), ("kneser", "v = 5,6"),
         ("prs-decay", "lams = true"), ("prfs-hybrid", "queries = 0,1"),
+        ("prs-decay", "lams = 2, x"), ("prs-decay", "lams = ,"),
+        ("prfs-hybrid", "queries = 0; x"), ("prfs-hybrid", "queries = ;"),
+        ("prfs-hybrid", "queries = 0; 1.5"),
     ])
     def test_param_of_wrong_kind_exits_two(self, tmp_path, name, line):
         cfg = self.write_config(

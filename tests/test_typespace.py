@@ -29,6 +29,7 @@ from chslab.typespace import (
     type_bipartition,
     type_state,
     _fold_good,
+    _urn_draws,
     _urn_outcomes,
 )
 
@@ -244,6 +245,27 @@ class TestFoldPredicate:
     def test_row_order_is_irrelevant(self):
         rows = np.array([[0, 1, 2, 5], [3, 3, 6, 1], [7, 4, 2, 0]], dtype=np.int64)
         assert (_fold_good(rows, 1, 2) == _fold_good(rows[:, ::-1], 1, 2)).all()
+
+
+class TestUrnDraws:
+    def test_draw_j_spans_its_range(self):
+        d, draws, rows = 2, 4, 2000
+        ks = _urn_draws(rows, d, draws, stream_rng(26))
+        assert ks.shape == (draws, rows)
+        for j in range(draws):
+            assert ks[j].min() == 0 and ks[j].max() == d + j - 1
+
+    def test_outcomes_resolve_the_draws(self):
+        # oracle: resolve each state's draws one at a time in Python
+        d, draws, rows = 3, 5, 500
+        ks = _urn_draws(rows, d, draws, stream_rng(27))
+        out = _urn_outcomes(rows, d, draws, stream_rng(27))
+        assert out.shape == (rows, draws)
+        for row, col in zip(out, ks.T):
+            resolved = []
+            for j, k in enumerate(col):
+                resolved.append(resolved[k] if k < j else k - j)
+            assert list(row) == resolved
 
 
 class TestProbGoodType:
