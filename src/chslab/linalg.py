@@ -11,7 +11,18 @@ infinite entry fails the check.  The spectral step
 LAPACK's real symmetric solver, which finds the same spectrum in a fraction
 of the complex solver's time; a matrix with any nonzero imaginary entry
 takes the complex Hermitian solver.  The choice is read from the input,
-never set by a flag.
+never set by a flag.  Every exact-path eigensolve also reads the matrix's
+exact zero pattern: above D = 64 it labels the connected components of the
+pattern's lower triangle (the part LAPACK reads) and solves the blocks of
+each size as one batched stack, since a matrix that is block diagonal up to
+a permutation has the union of its blocks' spectra.  Keyed-minus-ideal
+differences, Haar moments and PPT blocks are block diagonal by type: the
+1024-square hybrid differences split into blocks of at most 18, and the
+720-square PPT block at (d, t) = (10, 2) into 90 blocks of at most 8.  At
+D <= 64, or with one component, the dense solve is as fast or faster and
+takes the whole matrix.  The eigenvalues come back ascending and the
+eigenvectors as one dense matrix in the same column order, as from a dense
+solve.
 
 Flat-index convention (fixed globally, documented only here): register 0
 is the most significant digit of the flat index.  A basis label
@@ -64,6 +75,10 @@ PSD_TOL = 1e-8
 # rows per tile of the Hermitian check: two 128-square complex tiles
 # (256 KiB each) stay in L2 while their defect is taken
 _HERM_TILE = 128
+
+# flat dimension up to which a spectral solve takes the whole matrix; see
+# _block_indices for the measurement
+_BLOCK_MIN_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -234,11 +249,112 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
+def _component_roots(m: np.ndarray) -> np.ndarray:
+    """Smallest index of each index's connected component in the graph with
+    an edge i -- j wherever m[i, j] != 0 and i >= j.
+
+    The lower triangle is what LAPACK reads of a Hermitian matrix; the
+    diagonal tiles add a few upper entries, which can only merge
+    components.  Min-label passes over row tiles: in each tile every row
+    takes the smallest label among its nonzero columns and hands its own
+    label to them, and the index a row or column is labelled with takes
+    the same minimum; then every label is followed to its root.  Lowering
+    the labels' own labels too is what keeps the pass count low on long
+    chains: a randomly numbered 2048-path needs 6 passes, against 215 when
+    only the rows and columns move.  A label only moves to an index of the
+    same component, so a pass that changes nothing leaves each component
+    on its smallest index.  A pass costs O(D^2); the zero pattern is kept
+    as bool tiles, D^2/2 bytes in all, and no integer temporary is longer
+    than D.
+    """
+    n = len(m)
+    starts = range(0, n, _HERM_TILE)
+    pattern = [m[r:r + _HERM_TILE, :r + _HERM_TILE] != 0 for r in starts]
+    labels = np.arange(n)
+    while True:
+        before = labels.copy()
+        for r, nz in zip(starts, pattern):
+            rows, cols = np.arange(r, r + len(nz)), np.arange(nz.shape[1])
+            pull = np.minimum.reduce(np.broadcast_to(labels[cols], nz.shape), axis=1,
+                                     where=nz, initial=n)
+            np.minimum.at(labels, labels[rows], pull)
+            np.minimum.at(labels, rows, pull)
+            push = np.minimum.reduce(np.broadcast_to(labels[rows][:, None], nz.shape),
+                                     axis=0, where=nz, initial=n)
+            np.minimum.at(labels, labels[cols], push)
+            np.minimum.at(labels, cols, push)
+        while not np.array_equal(roots := labels[labels], labels):
+            labels = roots
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _block_indices(m: np.ndarray) -> list[np.ndarray] | None:
+    """The components of ``m``'s exact zero pattern as ``(nblocks, s)`` index
+    arrays, one per block size s, each row ascending; None when ``m`` is
+    solved whole.
+
+    Up to _BLOCK_MIN_DIM, or with one component, the whole matrix is
+    solved.  Median times with one BLAS thread, dense solve against
+    labelling plus batched blocks, over real and complex matrices made of
+    blocks of 1, 6 or 24 in random order: at D = 64 0.07-0.44 ms against
+    0.10-0.57 ms (dense faster in 5 of the 6 cases), at D = 96 0.15-1.05 ms
+    against 0.10-0.71 ms (blocks faster in 5 of 6), at D = 128 0.32-2.0 ms
+    against 0.19-0.92 ms, at D = 256 2.2-11.5 ms against 0.50-2.0 ms.
+    """
+    n = len(m)
+    if n <= _BLOCK_MIN_DIM:
+        return None
+    roots = _component_roots(m)
+    sizes = np.bincount(roots, minlength=n)
+    root_sizes = sizes[sizes > 0]
+    if len(root_sizes) == 1:
+        return None
+    # a stable sort keeps each component's indices ascending, so each block's
+    # lower triangle, the one LAPACK reads, is a part of m's lower triangle
+    members = np.argsort(roots, kind="stable")
+    starts = np.cumsum(root_sizes) - root_sizes
+    # the distinct sizes, ascending; np.unique would import numpy.ma on its
+    # first call, 16 ms and 1.5 MB in a fresh process
+    return [members[starts[root_sizes == s][:, None] + np.arange(s)]
+            for s in np.flatnonzero(np.bincount(root_sizes))]
+
+
+def _spectrum(m: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of the Hermitian ``m``, with the eigenvectors as
+    the columns of a dense matrix in the same order when ``vectors``.
+
+    A matrix whose exact zero pattern splits into components is a
+    permutation of a block-diagonal matrix, so its spectrum is the union of
+    its blocks' spectra; the blocks of one size go to the solver as one
+    ``(nblocks, s, s)`` stack.
+    """
+    m = _real_if_exact(m)
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    groups = _block_indices(m)
     try:
-        return np.linalg.eigvalsh(_real_if_exact(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        if groups is None:
+            return solve(m)
+        solved = [solve(m[idx[:, :, None], idx[:, None, :]]) for idx in groups]
+    except np.linalg.LinAlgError as exc:
         raise EigsFailed(str(exc)) from exc
+    vals = np.concatenate([(s[0] if vectors else s).ravel() for s in solved])
+    order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order]
+    column = np.empty(len(vals), dtype=np.intp)
+    column[order] = np.arange(len(vals))
+    vecs = np.zeros(m.shape, dtype=solved[0][1].dtype)
+    start = 0
+    for idx, (_, block_vecs) in zip(groups, solved):
+        cols = column[start:start + idx.size].reshape(idx.shape)
+        vecs[idx[:, :, None], cols[:, None, :]] = block_vecs
+        start += idx.size
+    return vals[order], vecs
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    return _spectrum(m, vectors=False)
 
 
 def _trace_norm(m: np.ndarray, hermitian: bool) -> float:
@@ -267,13 +383,14 @@ def trace_distance(a: Operator, b: Operator) -> float:
                              a.hermitian_hint and b.hermitian_hint)
 
 
-def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL):
-    try:
-        vals, vecs = np.linalg.eigh(_real_if_exact(m))
-    except np.linalg.LinAlgError as exc:
-        raise EigsFailed(str(exc)) from exc
+def _require_psd(vals: np.ndarray, tol: float) -> None:
     if vals.size and vals.min() < -tol:
         raise NotPSD(f"eigenvalue {vals.min():.3e} below -{tol}")
+
+
+def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL):
+    vals, vecs = _spectrum(m, vectors=True)
+    _require_psd(vals, tol)
     return np.clip(vals, 0.0, None), vecs
 
 
@@ -282,7 +399,7 @@ def fidelity(a: Operator, b: Operator) -> float:
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
     avals, avecs = _psd_eigh(a.entries)
-    _psd_eigh(b.entries)  # validate the second argument as well
+    _require_psd(_eigvalsh(b.entries), PSD_TOL)  # validate the second argument too
     sqrt_a = (avecs * np.sqrt(avals)) @ avecs.conj().T
     mid = sqrt_a @ b.entries @ sqrt_a
     mid = 0.5 * (mid + mid.conj().T)

@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_DIM_CAP,
     Operator,
     RegisterShape,
+    _eigvalsh,
     partial_transpose,
     trace_distance,
     trace_norm,
@@ -239,7 +240,7 @@ def ppt_diff_norm(d: int, t: int,
         block = weight_rho * joined
         block[np.diag_indices(len(a))] -= weight_sigma * (cross.diagonal() == 0)
         if block.any():  # j = 0 is exactly zero, as w_rho == w_sigma
-            exact += float(np.abs(np.linalg.eigvalsh(block)).sum())
+            exact += float(np.abs(_eigvalsh(block)).sum())
 
     kneser_sum = 0.0
     middle = Fraction(0)

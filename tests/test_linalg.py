@@ -23,7 +23,12 @@ from chslab.linalg import (
     pinv_sqrt,
     trace_distance,
     trace_norm,
+    _BLOCK_MIN_DIM,
+    _block_indices,
+    _eigvalsh,
     _hermitian_defect,
+    _psd_eigh,
+    _spectrum,
 )
 from chslab.rng import stream_rng
 from chslab.typespace import sym_projector
@@ -302,6 +307,12 @@ class TestFidelity:
         with pytest.raises(NotPSD):
             fidelity(bad, good)
 
+    def test_not_psd_second_argument(self):
+        bad = Operator(QUBIT, np.diag([1.5, -0.5]), hermitian_hint=True)
+        good = Operator(QUBIT, np.eye(2) / 2, hermitian_hint=True)
+        with pytest.raises(NotPSD):
+            fidelity(good, bad)
+
 
 class TestPinvSqrtAndRank:
     def test_identity(self):
@@ -340,40 +351,66 @@ def random_rank_density(rng, n, rank, real):
     return Operator(RegisterShape((n,)), (m + m.conj().T) / 2, hermitian_hint=True)
 
 
+def random_block_density(rng, blocks, real):
+    """Full-rank density that is nonzero only on the index blocks, the rows
+    of ``blocks``; each block is a dense random density."""
+    n = blocks.size
+    m = np.zeros((n, n), dtype=np.complex128)
+    for idx in blocks:
+        m[np.ix_(idx, idx)] = random_rank_density(rng, len(idx), len(idx), real).entries
+    return Operator(RegisterShape((n,)), m / len(blocks), hermitian_hint=True)
+
+
 class TestRealSpectralPath:
     """A complex128 operator whose imaginary part is exactly zero is solved by
     the real symmetric solver; any nonzero imaginary entry keeps it complex."""
 
     @pytest.fixture
-    def solver_dtypes(self, monkeypatch):
+    def solver_inputs(self, monkeypatch):
         seen = []
         for name in ("eigvalsh", "eigh"):
             def record(m, *args, _solver=getattr(np.linalg, name), **kwargs):
-                seen.append(np.asarray(m).dtype)
+                seen.append(np.asarray(m))
                 return _solver(m, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, record)
         return seen
 
-    @pytest.mark.parametrize("real,expected", [(True, np.float64),
-                                               (False, np.complex128)])
-    def test_solver_dtype_follows_imaginary_part(self, solver_dtypes, real, expected):
+    @pytest.mark.parametrize("real,expected,nblocks", [
+        pytest.param(True, np.float64, 1, id="True-float64"),
+        pytest.param(False, np.complex128, 1, id="False-complex128"),
+        # 12 blocks of 8 in random order, D = 96 above the crossover: every
+        # spectral input (a, a - b and the fidelity's middle operator) keeps
+        # the blocks, so each solve is one (12, 8, 8) stack
+        pytest.param(True, np.float64, 12, id="blocks-True-float64"),
+        pytest.param(False, np.complex128, 12, id="blocks-False-complex128"),
+    ])
+    def test_solver_dtype_follows_imaginary_part(self, solver_inputs, real, expected,
+                                                 nblocks):
         rng = stream_rng(12)
-        a, b = (random_rank_density(rng, 6, 6, real) for _ in range(2))
+        if nblocks == 1:
+            a, b = (random_rank_density(rng, 6, 6, real) for _ in range(2))
+            shape = (6, 6)
+        else:
+            blocks = rng.permutation(8 * nblocks).reshape(nblocks, 8)
+            a, b = (random_block_density(rng, blocks, real) for _ in range(2))
+            assert a.dim > _BLOCK_MIN_DIM
+            shape = (nblocks, 8, 8)
         assert a.entries.dtype == np.complex128
         trace_norm(a)
         trace_distance(a, b)
         numeric_rank(a)
         pinv_sqrt(a)
         fidelity(a, b)
-        assert len(solver_dtypes) == 7
-        assert all(dt == expected for dt in solver_dtypes)
+        assert len(solver_inputs) == 7
+        assert all(m.dtype == expected for m in solver_inputs)
+        assert all(m.shape == shape for m in solver_inputs)
 
-    def test_one_imaginary_entry_keeps_the_complex_solver(self, solver_dtypes):
+    def test_one_imaginary_entry_keeps_the_complex_solver(self, solver_inputs):
         # the test is exact zero, not a tolerance: 1e-300j is kept
         m = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
         m[0, 2], m[2, 0] = 1e-300j, -1e-300j
         numeric_rank(Operator(RegisterShape((3,)), m, hermitian_hint=True))
-        assert solver_dtypes == [np.complex128]
+        assert [m.dtype for m in solver_inputs] == [np.complex128]
 
     @pytest.mark.parametrize("real", [True, False])
     def test_matches_complex_oracles(self, real):
@@ -402,6 +439,106 @@ class TestRealSpectralPath:
                 roots.append((mu * np.sqrt(mv)) @ mu.conj().T)
             oracle = np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2
             assert fidelity(full, b) == pytest.approx(oracle, abs=1e-12)
+
+
+def planted_hermitian(rng, blocks, real, zero_rows=0):
+    """Hermitian matrix made of the given ``(size, kind)`` blocks on randomly
+    permuted indices, plus ``zero_rows`` all-zero rows and columns.
+
+    A "dense" block has every entry nonzero, a "hollow" one a zero diagonal
+    and every off-diagonal entry nonzero, and a "path" one is tridiagonal.
+    Returns the matrix and its components as sorted index tuples.
+    """
+    n = sum(size for size, _ in blocks) + zero_rows
+    m = np.zeros((n, n), dtype=np.complex128)
+    perm = rng.permutation(n)
+    components, start = [], 0
+    for size, kind in blocks:
+        z = rng.standard_normal((size, size))
+        if not real:
+            z = z + 1j * rng.standard_normal((size, size))
+        h = (z + z.conj().T) / np.sqrt(8 * size)
+        if kind == "hollow":
+            np.fill_diagonal(h, 0.0)
+        elif kind == "path":
+            h = np.triu(np.tril(h, 1), -1)
+        idx = perm[start:start + size]
+        m[np.ix_(idx, idx)] = h
+        components.append(tuple(sorted(idx)))
+        start += size
+    components += [(int(i),) for i in perm[start:]]
+    return m, sorted(components)
+
+
+SPECTRUM_CASES = {
+    "mixed-below": ([(1, "dense"), (2, "dense"), (3, "hollow"), (5, "dense"),
+                     (8, "dense"), (13, "dense")], 2),
+    "mixed-above": ([(1, "dense"), (2, "hollow"), (3, "dense"), (5, "dense"),
+                     (8, "dense"), (13, "dense"), (24, "dense"), (45, "dense"),
+                     (24, "dense")], 3),
+    "hollow": ([(2, "hollow")] * 20 + [(3, "hollow")] * 10 + [(7, "hollow")] * 5, 0),
+    "one-component": ([(100, "dense")], 0),
+    "one-chain": ([(150, "path")], 0),
+    "two-chains": ([(70, "path"), (80, "path")], 0),
+    "singletons": ([(1, "dense")] * 100, 0),
+    "zero-rows": ([(6, "dense")] * 15, 10),
+}
+
+
+class TestBlockSpectrum:
+    """The block-aware solve against dense numpy solves of the whole matrix."""
+
+    @pytest.fixture(params=sorted(SPECTRUM_CASES))
+    def planted(self, request):
+        blocks, zero_rows = SPECTRUM_CASES[request.param]
+        rng = stream_rng(20 + sorted(SPECTRUM_CASES).index(request.param))
+        return [planted_hermitian(rng, blocks, real, zero_rows) for real in (True, False)]
+
+    def test_blocks_are_the_components(self, planted):
+        for m, components in planted:
+            groups = _block_indices(m)
+            if len(m) <= _BLOCK_MIN_DIM or len(components) == 1:
+                assert groups is None
+                continue
+            assert sorted(tuple(row) for idx in groups for row in idx) == components
+            sizes = [idx.shape[1] for idx in groups]  # one stack per block size
+            assert len(set(sizes)) == len(sizes)
+
+    def test_eigenvalues_match_dense(self, planted):
+        for m, _ in planted:
+            vals = _eigvalsh(m)
+            assert np.all(np.diff(vals) >= 0)
+            np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+
+    def test_eigenvectors_diagonalise(self, planted):
+        for m, _ in planted:
+            vals, vecs = _spectrum(m, vectors=True)
+            assert vecs.shape == m.shape and np.all(np.diff(vals) >= 0)
+            np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(m)), rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(m @ vecs, vecs * vals, rtol=0, atol=1e-12)
+
+    def test_psd_eigh_matches_dense(self, planted):
+        # the square of a Hermitian matrix is PSD with components no larger
+        for h, _ in planted:
+            m = h @ h
+            m = (m + m.conj().T) / 2
+            vals, vecs = _psd_eigh(m)
+            assert np.all(np.diff(vals) >= 0) and np.all(vals >= 0)
+            np.testing.assert_allclose(vals, np.clip(np.linalg.eigvalsh(m), 0, None),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(m)), rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(m @ vecs, vecs * vals, rtol=0, atol=1e-12)
+
+    def test_psd_eigh_rejects_a_negative_block(self):
+        rng = stream_rng(30)
+        m, _ = planted_hermitian(rng, [(4, "dense")] * 30, real=True)
+        m = m @ m
+        m[0, 0] -= 1.0 + np.linalg.eigvalsh(m).max()
+        with pytest.raises(NotPSD):
+            _psd_eigh(m)
 
 
 class TestPermuteRegisters:

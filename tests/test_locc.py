@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from chslab import locc
 from chslab.errors import EnumerationTooLarge, ParameterError
 from chslab.linalg import Operator, RegisterShape, partial_transpose, trace_norm
 from chslab.locc import (
@@ -292,18 +293,22 @@ class TestPptChain:
 
     @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2), (10, 2)])
     def test_zero_block_skips_the_solver(self, d, t, monkeypatch):
+        # spied where the whole block enters the spectral primitive, before
+        # it may be split into components and stacked: a stack's len() is a
+        # block count, so a zero block split into 1x1 blocks would hide from
+        # a spy on numpy's solver
         solved = []
-        solver = np.linalg.eigvalsh
+        solver = locc._eigvalsh
 
-        def record(m, *args, **kwargs):
+        def record(m):
             solved.append(np.asarray(m))
-            return solver(m, *args, **kwargs)
+            return solver(m)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        monkeypatch.setattr(locc, "_eigvalsh", record)
         ppt_diff_norm(d, t)
         # no solver call sees an all-zero matrix; the j = 0 block (disjoint
         # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is skipped
-        assert solved and all(m.any() for m in solved)
+        assert solved and all(m.ndim == 2 and m.any() for m in solved)
         assert comb(d, t) * comb(d - t, t) not in [len(m) for m in solved]
 
     @pytest.mark.parametrize("d,t", [(4, 1), (5, 2), (6, 2)])
@@ -332,6 +337,23 @@ class TestSandwich:
         combined = (res.half_norm_surrogate + res.slack_identical
                     + res.slack_independent)
         assert res.advantage <= combined + 1e-8
+
+    def test_true_moments_are_solved_in_type_blocks(self, monkeypatch):
+        # the true half-norm and both slacks at (6, 2) are taken on
+        # 1296-square matrices that are block diagonal by type; the solver
+        # only ever sees their blocks
+        dims = []
+        solver = np.linalg.eigvalsh
+
+        def record(m, *args, **kwargs):
+            dims.append(np.shape(m)[-1])
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        res = ppt_vs_haar_bound(6, 2)
+        assert dims and max(dims) < 6 ** 4
+        # the true-moment PPT half-norm at (6, 2) is exactly 75/196
+        assert res.half_norm_true == pytest.approx(75 / 196, abs=1e-12)
 
     def test_no_copies(self):
         res = ppt_vs_haar_bound(8, 0)

@@ -3,6 +3,7 @@ distances, the rank distinguisher, and the inverse-root overlap bound."""
 
 import functools
 import itertools
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -422,6 +423,34 @@ class TestPrsHybrids:
         assert res3.td == pytest.approx(7 / 72, abs=1e-12)
         assert res3.td < res2.td
         assert res2.bound == (1 + 1) ** 2 / 4
+
+    @pytest.mark.parametrize("n,t,num,den", [(5, 1, 31, 1056), (4, 2, 5, 51)])
+    def test_full_key_single_copy_closed_form(self, n, t, num, den):
+        # exact closed form at lam = n, ell = 1, summed over m, the number
+        # of shared copies equal to the generated copy's value:
+        # td = 1/2 sum_m d C(d+t-m-2, t-m) |(m+1)/(d C(d+t,t)) - 1/(d C(d+t-1,t))|
+        d = 2**n
+        td = Fraction(1, 2) * sum(
+            d * comb(d + t - m - 2, t - m)
+            * abs(Fraction(m + 1, d * comb(d + t, t)) - Fraction(1, d * comb(d + t - 1, t)))
+            for m in range(t + 1))
+        assert td == Fraction(num, den)
+        assert prs_hybrids(PseudoParams(n, n, 1, t)).td == pytest.approx(float(td),
+                                                                       abs=1e-12)
+
+    def test_diagonal_difference_is_solved_one_by_one(self, monkeypatch):
+        # at lam = n = 5, ell = t = 1 the keyed state and the ideal are both
+        # diagonal (D = 1024), so every component of the difference is 1x1
+        dims = []
+        solver = np.linalg.eigvalsh
+
+        def record(m, *args, **kwargs):
+            dims.append(np.shape(m)[-1])
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        prs_hybrids(PseudoParams(5, 5, 1, 1))
+        assert dims == [1]
 
     def test_keyed_state_contract(self):
         res = prs_hybrids(PseudoParams(2, 2, 1, 1))
