@@ -1,17 +1,25 @@
 """Dense linear algebra over explicitly shaped register systems.
 
-Operators and states are stored as complex128.  An operator flagged
-Hermitian is checked exactly when it is built: the largest |m - m^H| is
-taken tile by tile, each tile on or above the diagonal against the
-conjugate transpose of its mirror tile, so both stay in cache; the maximum
-is the one-shot ``np.abs(m - m.conj().T).max()`` bit for bit, and a NaN or
-infinite entry fails the check.  The spectral step
-(``trace_norm``, ``trace_distance``, ``fidelity``, ``pinv_sqrt``,
-``numeric_rank``) hands a matrix whose imaginary part is exactly zero to
-LAPACK's real symmetric solver, which finds the same spectrum in a fraction
-of the complex solver's time; a matrix with any nonzero imaginary entry
-takes the complex Hermitian solver.  The choice is read from the input,
-never set by a flag.  Every exact-path eigensolve also reads the matrix's
+Operators and states are stored as complex128.  An operator built from a
+real array (a bool, integer or float dtype) is marked ``real``: its
+Hermitian check runs on the float64 array, where |x - y| is the complex
+|(x + 0j) - (y + 0j)| bit for bit, and only then is its one complex128
+copy made.  Haar moments, label masks, ideal products and PPT blocks are
+real in the computational basis, so the exact path builds all of them this
+way, and partial trace, partial transpose and register permutation keep
+the mark.  An operator flagged Hermitian is checked exactly when it is
+built: the largest |m - m^H| is taken tile by tile, each tile on or above
+the diagonal against the conjugate transpose of its mirror tile, so both
+stay in cache; the maximum is the one-shot ``np.abs(m - m.conj().T).max()``
+bit for bit, and a NaN or infinite entry fails the check.  The spectral
+step (``trace_norm``, ``trace_distance``, ``fidelity``, ``pinv_sqrt``,
+``numeric_rank``) reads a real operator's float64 view, and the difference
+of two real operators is one contiguous float64 array; any other matrix
+whose imaginary part is exactly zero is also handed to LAPACK's real
+symmetric solver, which finds the same spectrum in a fraction of the
+complex solver's time, and a matrix with any nonzero imaginary entry takes
+the complex Hermitian solver.  The choice is read from the input, never
+set by a flag.  Every exact-path eigensolve also reads the matrix's
 exact zero pattern: above D = 64 it labels the connected components of the
 pattern's lower triangle (the part LAPACK reads) and solves the blocks of
 each size as one batched stack, since a matrix that is block diagonal up to
@@ -143,19 +151,26 @@ class StateVector:
 class Operator:
     """Square complex matrix with an attached register shape.
 
-    Entries are always stored as complex128; spectral functions solve in
-    real arithmetic when the imaginary part is exactly zero.  With
-    ``hermitian_hint`` the entries must satisfy max |m - m^H| <= HERM_TOL,
-    checked tile by tile (see :func:`_hermitian_defect`); a NaN or an
-    infinite entry fails the check.
+    Entries are always stored as complex128.  ``real`` is derived, never
+    passed: it is True when ``entries`` came in with a bool, integer or
+    float dtype, and the spectral functions then read the float64 view
+    ``entries.real``; other matrices are solved in real arithmetic when
+    their imaginary part is exactly zero.  With ``hermitian_hint`` the
+    entries must satisfy max |m - m^H| <= HERM_TOL, checked tile by tile
+    (see :func:`_hermitian_defect`) on the float64 array of a real input,
+    before its complex128 copy is made; a NaN or an infinite entry fails
+    the check.
     """
 
     shape: RegisterShape
     entries: np.ndarray = field(repr=False)
     hermitian_hint: bool = False
+    real: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=np.complex128)
+        m = np.asarray(self.entries)
+        real = m.dtype.kind in "biuf"
+        m = m.astype(np.float64 if real else np.complex128, copy=False)
         n = self.shape.total
         if m.shape != (n, n):
             raise ShapeMismatch(f"entries shape {m.shape} != ({n}, {n})")
@@ -163,7 +178,8 @@ class Operator:
             defect = _hermitian_defect(m)
             if not defect <= HERM_TOL:  # NaN compares False
                 raise ParameterError(f"hermitian_hint set but defect {defect:.3e} > {HERM_TOL}")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", m.astype(np.complex128, copy=False))
+        object.__setattr__(self, "real", real)
 
     @property
     def dim(self) -> int:
@@ -192,8 +208,10 @@ def _hermitian_defect(m: np.ndarray) -> float:
 
 
 def _as_legs(m: Operator) -> np.ndarray:
+    """The entries as 2r legs; a real operator's are its float64 view, so
+    the operators made from them are real too."""
     dims = m.shape.dims
-    return m.entries.reshape(dims + dims)
+    return (m.entries.real if m.real else m.entries).reshape(dims + dims)
 
 
 def partial_trace(m: Operator, keep) -> Operator:
@@ -247,6 +265,12 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(m) and not m.imag.any():
         return m.real
     return m
+
+
+def _spectral_input(m: Operator) -> np.ndarray:
+    """What the spectral step reads of ``m``: a real operator's float64 view
+    with no imaginary scan, else its entries through :func:`_real_if_exact`."""
+    return m.entries.real if m.real else _real_if_exact(m.entries)
 
 
 def _component_roots(m: np.ndarray) -> np.ndarray:
@@ -368,19 +392,24 @@ def _trace_norm(m: np.ndarray, hermitian: bool) -> float:
 
 def trace_norm(m: Operator) -> float:
     """Sum of singular values; via eigenvalues when flagged Hermitian."""
-    return _trace_norm(m.entries, m.hermitian_hint)
+    return _trace_norm(_spectral_input(m), m.hermitian_hint)
 
 
 def trace_distance(a: Operator, b: Operator) -> float:
     """Half the trace norm of the difference.
 
     The difference of two operators flagged Hermitian goes straight to the
-    eigenvalue solver: both were checked when they were built.
+    eigenvalue solver: both were checked when they were built.  Two real
+    operators are subtracted in float64, which is the real part of their
+    complex difference bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    return 0.5 * _trace_norm(a.entries - b.entries,
-                             a.hermitian_hint and b.hermitian_hint)
+    if a.real and b.real:
+        diff = a.entries.real - b.entries.real
+    else:
+        diff = _real_if_exact(a.entries - b.entries)
+    return 0.5 * _trace_norm(diff, a.hermitian_hint and b.hermitian_hint)
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -398,10 +427,11 @@ def fidelity(a: Operator, b: Operator) -> float:
     """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    avals, avecs = _psd_eigh(a.entries)
-    _require_psd(_eigvalsh(b.entries), PSD_TOL)  # validate the second argument too
+    avals, avecs = _psd_eigh(_spectral_input(a))
+    b_entries = _spectral_input(b)
+    _require_psd(_eigvalsh(b_entries), PSD_TOL)  # validate the second argument too
     sqrt_a = (avecs * np.sqrt(avals)) @ avecs.conj().T
-    mid = sqrt_a @ b.entries @ sqrt_a
+    mid = sqrt_a @ b_entries @ sqrt_a
     mid = 0.5 * (mid + mid.conj().T)
     mvals = np.clip(_eigvalsh(mid), 0.0, None)
     return float(np.sqrt(mvals).sum() ** 2)
@@ -409,7 +439,7 @@ def fidelity(a: Operator, b: Operator) -> float:
 
 def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
     """Inverse square root on the support; eigenvalues <= cutoff go to 0."""
-    vals, vecs = _psd_eigh(m.entries)
+    vals, vecs = _psd_eigh(_spectral_input(m))
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
     out = (vecs * inv) @ vecs.conj().T
     return Operator(m.shape, out, hermitian_hint=True)
@@ -417,7 +447,7 @@ def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
 
 def numeric_rank(m: Operator, rel_threshold: float = 1e-8) -> int:
     """Count of eigenvalues with |lam| > rel_threshold * max |lam|."""
-    vals = np.abs(_eigvalsh(m.entries))
+    vals = np.abs(_eigvalsh(_spectral_input(m)))
     if vals.size == 0:
         return 0
     top = vals.max()

@@ -16,13 +16,15 @@ through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
 is computed exactly in the basis of t-subset pairs (a, b), where it is block
 diagonal by j = |a n b|, and bounded by a sum of Kneser-graph spectral norms.
-Every piece reads the subset-overlap matrix g[i, j] = |A_i n A_j|.  Since
-C(d,2t) C(2t,t) = C(d,t) C(d-t,t), the two weights are equal and the j = 0
-block is exactly zero; each j >= 1 block is, with s = t - j, C(d,s) C(d-s,s)
-copies of the weight times the adjacency of the Kneser graph K(d-2s, t-s).
-So exact equals the Kneser sum; exact is still computed from the built
-blocks, never from that identity.  Every block is built; only a block with
-a nonzero entry goes to the eigenvalue solver, since a zero block adds 0.
+Since C(d,2t) C(2t,t) = C(d,t) C(d-t,t), the two weights are equal and the
+j = 0 block is exactly zero, so it is never built.  Each j >= 1 block comes
+from its rule: row (a, b) holds the weight at the columns
+((a minus b) u X, (b minus a) u X), one for each j-subset X outside a u b,
+scattered into a zero matrix whose row count is checked against the
+dimension cap first.  With s = t - j the block is C(d,s) C(d-s,s) copies of
+the weight times the adjacency of the Kneser graph K(d-2s, t-s), so exact
+equals the Kneser sum; exact is still computed from the built blocks, never
+from that identity.
 """
 
 from __future__ import annotations
@@ -89,13 +91,34 @@ class LoccParams:
             raise ParameterError("bad LOCC parameters")
 
 
-def _subset_overlaps(d: int, t: int) -> np.ndarray:
-    """g[i, j] = |A_i n A_j| over the t-subsets of [d], lexicographic order:
-    the Gram matrix of their 0/1 membership rows."""
+def _subset_members(d: int, t: int) -> np.ndarray:
+    """0/1 membership rows of the t-subsets of [d], lexicographic order."""
     subsets = np.array(list(itertools.combinations(range(d), t)), dtype=np.intp)
     member = np.zeros((len(subsets), d), dtype=np.int16)
     np.put_along_axis(member, subsets, 1, axis=1)
+    return member
+
+
+def _subset_overlaps(d: int, t: int) -> np.ndarray:
+    """g[i, j] = |A_i n A_j| over the t-subsets of [d], lexicographic order:
+    the Gram matrix of their 0/1 membership rows."""
+    member = _subset_members(d, t)
     return member @ member.T
+
+
+def _subset_ranks(subsets: np.ndarray, d: int) -> np.ndarray:
+    """Lexicographic index among the t-subsets of [d] of each ascending
+    t-subset along the last axis of ``subsets``.
+
+    The reflection v -> d-1-v reverses lexicographic order into
+    colexicographic order, and the colex index of an ascending subset
+    v_0 < ... < v_{t-1} is sum_i C(v_i, i+1).
+    """
+    t = subsets.shape[-1]
+    binom = np.array([[comb(v, i + 1) for i in range(t)] for v in range(d)],
+                     dtype=np.int64)
+    reflected = (d - 1 - subsets)[..., ::-1]
+    return comb(d, t) - 1 - binom[reflected, np.arange(t)].sum(axis=-1)
 
 
 def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
@@ -209,8 +232,48 @@ class PptChainResult:
     series_bound: float
 
 
-def ppt_diff_norm(d: int, t: int,
-                  enum_cap: int = DEFAULT_ENUM_CAP) -> PptChainResult:
+def _ppt_blocks(d: int, t: int):
+    """Yield the dense blocks j = 1..t of Gamma(rho) - Gamma(sigma), block j
+    on the pairs (a, b) with |a n b| = j, rows in lexicographic (a, b) order.
+
+    Row (a, b) of block j >= 1 holds the weight w_rho at the columns
+    ((a minus b) u X, (b minus a) u X), one for each j-subset X of the
+    d-2t+j elements outside a u b: those are the pairs (c, e) with a and e
+    disjoint, c and b disjoint and a u e = c u b.  Gamma(sigma) is zero
+    there, since it lives on disjoint pairs.  Each block is a scatter of
+    C(d-2t+j, j) entries per row into a zero matrix.
+    """
+    member = _subset_members(d, t)
+    g = member @ member.T
+    member = member.astype(bool)
+    count = len(member)
+    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
+
+    def elements(mask, k):
+        # each row of mask has k True entries; their columns, ascending
+        return np.nonzero(mask)[1].reshape(len(mask), k)
+
+    for j in range(1, t + 1):
+        a, b = np.nonzero(g == j)
+        rows = len(a)
+        in_a, in_b = member[a], member[b]
+        outside = elements(~(in_a | in_b), d - 2 * t + j)
+        picks = outside[:, list(itertools.combinations(range(d - 2 * t + j), j))]
+        ends = []
+        for only in (elements(in_a & ~in_b, t - j), elements(in_b & ~in_a, t - j)):
+            only = np.broadcast_to(only[:, None, :], picks.shape[:2] + only.shape[1:])
+            ends.append(_subset_ranks(np.sort(np.concatenate([only, picks], axis=2),
+                                              axis=2), d))
+        # np.nonzero lists the pairs in row-major order, so their codes
+        # a * count + b ascend and a column's position is a binary search
+        cols = np.searchsorted(a * count + b, ends[0] * count + ends[1])
+        block = np.zeros((rows, rows))
+        block[np.arange(rows)[:, None], cols] = weight_rho
+        yield block
+
+
+def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
+                  cap: int = DEFAULT_DIM_CAP) -> PptChainResult:
     """Exact partially transposed difference norm and its bound chain.
 
     Both mixtures are supported on pairs (a, b) of t-subset states, which
@@ -219,29 +282,24 @@ def ppt_diff_norm(d: int, t: int,
     when a and e are disjoint, c and b are disjoint and a u e = c u b;
     Gamma(sigma) = sigma is diagonal on disjoint pairs.  Both keep
     j = |a n b|, so the norm is the sum over the t+1 blocks of pairs with
-    overlap j.  The chain reported is
-    exact <= kneser_sum (= middle) <= factorial_bound <= series_bound.
+    overlap j.  The j = 0 block is never built: on disjoint pairs
+    Gamma(rho) joins each pair only to itself, with the weight of sigma.
+    Each j >= 1 block comes from :func:`_ppt_blocks`; its row count is
+    checked against ``cap`` before any block is allocated.  The chain
+    reported is exact <= kneser_sum (= middle) <= factorial_bound <= series_bound.
     """
     if t < 0 or d <= 2 * t:
         raise ParameterError(f"need d > 2t >= 0, got d={d}, t={t}")
     if comb(d, t) ** 2 > enum_cap:
         raise EnumerationTooLarge(
             f"subset-pair basis C({d},{t})^2 exceeds cap {enum_cap}")
-    g = _subset_overlaps(d, t)
-    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
-    weight_sigma = 1.0 / (comb(d, t) * comb(d - t, t))
+    for j in range(1, t + 1):  # pairs (a, b) with |a n b| = j
+        RegisterShape((comb(d, t) * comb(t, j) * comb(d - t, t - j),)).check_cap(cap)
     exact = 0.0
-    for j in range(t + 1):
-        a, b = np.nonzero(g == j)
-        cross = g[np.ix_(a, b)]  # |a_r n b_s|: row r's a against column s's e
-        # a u e = c u b  <=>  |a n c| + |a n b| + |e n c| + |e n b| = 2t
-        joined = ((cross == 0) & (cross.T == 0)
-                  & (g[np.ix_(a, a)] + g[np.ix_(b, b)] == 2 * (t - j)))
-        block = weight_rho * joined
-        block[np.diag_indices(len(a))] -= weight_sigma * (cross.diagonal() == 0)
-        if block.any():  # j = 0 is exactly zero, as w_rho == w_sigma
-            exact += float(np.abs(_eigvalsh(block)).sum())
+    for block in _ppt_blocks(d, t):
+        exact += float(np.abs(_eigvalsh(block)).sum())
 
+    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
     kneser_sum = 0.0
     middle = Fraction(0)
     factorial_bound = Fraction(0)
@@ -281,9 +339,9 @@ def _subset_surrogates(d: int, t: int, rho: Operator,
     distinct = _all_distinct(np.indices((d,) * (2 * t)).reshape(2 * t, -1).T)[:, None]
     scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
     scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
-    return (Operator(rho.shape, rho.entries * (distinct * scale_rho),
+    return (Operator(rho.shape, rho.entries.real * (distinct * scale_rho),
                      hermitian_hint=True),
-            Operator(sigma.shape, sigma.entries * (distinct * scale_sigma),
+            Operator(sigma.shape, sigma.entries.real * (distinct * scale_sigma),
                      hermitian_hint=True))
 
 
@@ -291,15 +349,15 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                       enum_cap: int = DEFAULT_ENUM_CAP) -> PptVsHaarResult:
     """Bound pieces for distinguishing shared copies from independent ones.
 
-    The surrogate half-norm comes from :func:`ppt_diff_norm`.  When d^(2t)
-    fits the cap, the half-norm on the true moment states and the two
-    collision slacks (distance from each true state to its subset surrogate)
-    are computed exactly; otherwise only the constant-free reference t^2/d
-    is reported for the slack.
+    The surrogate half-norm comes from :func:`ppt_diff_norm`, under the same
+    ``cap``.  When d^(2t) fits the cap, the half-norm on the true moment
+    states and the two collision slacks (distance from each true state to
+    its subset surrogate) are computed exactly; otherwise only the
+    constant-free reference t^2/d is reported for the slack.
     """
     if t == 0:
         return PptVsHaarResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    chain = ppt_diff_norm(d, t, enum_cap)
+    chain = ppt_diff_norm(d, t, enum_cap, cap)
     advantage = locc_advantage_closed_form(d, t)
     slack_reference = t * t / d
 
@@ -309,7 +367,7 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
     shape = RegisterShape((d,) * (2 * t))
     rho = haar_moment(d, 2 * t, cap)
-    sig_half = haar_moment(d, t, cap).entries
+    sig_half = haar_moment(d, t, cap).entries.real
     sigma = Operator(shape, np.kron(sig_half, sig_half), hermitian_hint=True)
     b_regs = range(t, 2 * t)
     half_true = trace_distance(partial_transpose(rho, b_regs),

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    _psd_eigh, _real_if_exact, numeric_rank, permute_registers, trace_distance
+    _psd_eigh, _spectral_input, numeric_rank, permute_registers, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -359,19 +359,22 @@ class HybridResult:
 def _keyed_state(d: int, total: int, suffix_shift: int, charges,
                  cap: int, enum_cap: int) -> Operator:
     """Keyed copies plus shared copies, averaged over the whole key space:
-    the total-copy Haar moment dephased by the charges' label mask."""
+    the total-copy Haar moment dephased by the charges' label mask, taken
+    on the moment's float64 view, so the state is a real operator."""
     moment = haar_moment(d, total, cap, enum_cap)
     mask = _label_mask(d, total, suffix_shift, charges)
-    return Operator(moment.shape, moment.entries * mask, hermitian_hint=True)
+    return Operator(moment.shape, moment.entries.real * mask, hermitian_hint=True)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
-    """One independent Haar moment per register group, in register order."""
-    entries = np.ones((1, 1), dtype=np.complex128)
+    """One independent Haar moment per register group, in register order:
+    the Kronecker product of the moments' float64 views, a real operator."""
+    entries = np.ones((1, 1))
     order: list[int] = []
     for regs in groups:
         if len(regs):
-            entries = np.kron(entries, haar_moment(d, len(regs), cap, enum_cap).entries)
+            entries = np.kron(entries,
+                              haar_moment(d, len(regs), cap, enum_cap).entries.real)
             order.extend(int(r) for r in regs)
     grouped = Operator(RegisterShape((d,) * len(order)), entries, hermitian_hint=True)
     if order == sorted(order):
@@ -491,7 +494,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     total = ell + t
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
-    rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).entries
+    rho0 = _spectral_input(_keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap))
     ideal = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap)
 
     # clipped negatives never reach the support, so rank0 and accept_pseudo
@@ -504,7 +507,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     # Tr(P rho1) over the support basis; a probability, so clip the
     # round-off that can carry it just past 1
     accept_haar = float(np.clip(
-        np.real(np.vdot(basis, _real_if_exact(ideal.entries) @ basis)), 0.0, 1.0))
+        np.real(np.vdot(basis, _spectral_input(ideal) @ basis)), 0.0, 1.0))
     rank1 = numeric_rank(ideal, rel_threshold)
 
     ratio_bound = 2**lam / comb(ell + t, ell)

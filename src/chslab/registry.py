@@ -27,7 +27,8 @@ from . import locc as lc
 from . import pseudo as ps
 from . import typespace as ts
 from .errors import ChslabError, ConfigInvalid
-from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, _hermitian_defect, numeric_rank
+from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, _hermitian_defect, \
+    _spectral_input, numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -127,7 +128,7 @@ def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
     rec.close(f"{label}-hermitian-defect", herm, 0.0, EXACT, "hermitian", 1e-10)
     rec.close(f"{label}-trace", float(np.real(np.trace(entries))), 1.0, EXACT,
               "trace", 1e-10)
-    min_eig = float(_eigvalsh(entries).min())
+    min_eig = float(_eigvalsh(_spectral_input(op)).min())
     rec.add(f"{label}-min-eigenvalue", min_eig, -1e-9, EXACT, min_eig >= -1e-9)
 
 
@@ -368,7 +369,7 @@ def _exp_commit_hiding(params, seed, caps, rec: _Recorder):
 
 def _exp_ppt_chain(params, seed, caps, rec: _Recorder):
     d, t = params["d"], params["t"]
-    chain = lc.ppt_diff_norm(d, t, caps.enum)
+    chain = lc.ppt_diff_norm(d, t, caps.enum, caps.dim)
     rec.below("exact-vs-kneser-sum", chain.exact, chain.kneser_sum, EXACT,
               "chain", 1e-8)
     rec.close("kneser-sum-vs-middle", chain.kneser_sum, chain.middle, EXACT,

@@ -340,9 +340,11 @@ def prob_good_type(p: PrefixParams, trials: int = 0, seed: int = 0, stream: int 
     d, t = p.alphabet_dim, p.t
     count, types = _type_rows(d, t, enum_cap)
     good = 0
-    for _ in range(0, count, _CHUNK):
-        rows = np.array(list(itertools.islice(types, _CHUNK)), dtype=np.int64)
-        good += int(_fold_good(rows, p.m, p.ell).sum())
+    for first in range(0, count, _CHUNK):
+        rows = min(_CHUNK, count - first)
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(types, rows)),
+                            dtype=np.int64, count=rows * t).reshape(rows, t)
+        good += int(_fold_good(chunk, p.m, p.ell).sum())
     exact = Fraction(good, count)
     if trials <= 0:
         return GoodTypeProbability(exact, None, None, 0)

@@ -139,6 +139,27 @@ class TestHermitianCheck:
         with pytest.raises(ParameterError):
             Operator(RegisterShape((300,)), m, hermitian_hint=True)
 
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_real_defect_equals_complex_copy(self, n):
+        # |x - y| in float64 is |(x + 0j) - (y + 0j)| bit for bit
+        rng = stream_rng(100 + n)
+        z = rng.standard_normal((n, n))
+        sym = (z + z.T) / 2
+        for m in (z, sym + 1e-13 * z, sym):
+            assert _hermitian_defect(m) == _hermitian_defect(m.astype(np.complex128))
+            assert _hermitian_defect(m) == one_shot_defect(m.astype(np.complex128))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n,where,value", [
+        (2, (0, 1), np.nan), (2, (0, 0), np.inf), (300, (299, 299), np.nan),
+        (300, (0, 299), np.inf),
+    ])
+    def test_real_nan_and_inf_rejected(self, n, where, value):
+        m = np.eye(n)
+        m[where] = value
+        with pytest.raises(ParameterError):
+            Operator(RegisterShape((n,)), m, hermitian_hint=True)
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -361,9 +382,78 @@ def random_block_density(rng, blocks, real):
     return Operator(RegisterShape((n,)), m / len(blocks), hermitian_hint=True)
 
 
+def complex_copy(m: Operator) -> Operator:
+    """The same operator built from a complex128 array: not marked real."""
+    return Operator(m.shape, m.entries.copy(), hermitian_hint=m.hermitian_hint)
+
+
+def real_built(m: Operator) -> Operator:
+    """The same operator built from its float64 real part: marked real."""
+    return Operator(m.shape, m.entries.real.copy(), hermitian_hint=m.hermitian_hint)
+
+
+class TestRealOperator:
+    """An operator built from a real array is marked real, stores the same
+    complex128 entries as one built from the complex copy, and its spectral
+    results are those of the complex copy bit for bit."""
+
+    def test_real_is_derived_and_storage_complex(self):
+        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        for entries, real in [(m, True), (m.astype(int), True),
+                              (m.astype(np.complex128), False)]:
+            op = Operator(QUBIT, entries, hermitian_hint=True)
+            assert op.real is real
+            assert op.entries.dtype == np.complex128
+            np.testing.assert_array_equal(op.entries, m)
+        with pytest.raises(TypeError):
+            Operator(QUBIT, m, real=True)
+
+    def test_register_maps_keep_the_mark(self):
+        shape = RegisterShape((2, 3))
+        z = stream_rng(30).standard_normal((6, 6))
+        for entries, real in [(z @ z.T, True), ((z @ z.T).astype(np.complex128), False)]:
+            op = Operator(shape, entries, hermitian_hint=True)
+            for out in (partial_transpose(op, [1]), partial_trace(op, [0]),
+                        permute_registers(op, (1, 0))):
+                assert out.real is real and out.entries.dtype == np.complex128
+            np.testing.assert_array_equal(
+                partial_transpose(op, [1]).entries,
+                partial_transpose(complex_copy(op), [1]).entries)
+            np.testing.assert_array_equal(
+                permute_registers(op, (1, 0)).entries,
+                permute_registers(complex_copy(op), (1, 0)).entries)
+
+    @pytest.mark.parametrize("nblocks", [1, 12])
+    def test_spectral_results_match_complex_copy_bit_for_bit(self, nblocks):
+        # one dense 16-square pair, and 12 blocks of 8 in random order
+        # (D = 96, solved in blocks)
+        rng = stream_rng(31)
+        if nblocks == 1:
+            a, b, c = (random_rank_density(rng, 16, rank, True) for rank in (7, 16, 16))
+        else:
+            blocks = rng.permutation(8 * nblocks).reshape(nblocks, 8)
+            a, b, c = (random_block_density(rng, blocks, True) for _ in range(3))
+        a, b, c = (real_built(m) for m in (a, b, c))
+        ac, bc, cc = (complex_copy(m) for m in (a, b, c))
+        assert a.real and b.real and c.real and not (ac.real or bc.real or cc.real)
+        assert trace_norm(a) == trace_norm(ac)
+        assert trace_distance(a, b) == trace_distance(ac, bc)
+        assert numeric_rank(a) == numeric_rank(ac)
+        np.testing.assert_array_equal(pinv_sqrt(a).entries, pinv_sqrt(ac).entries)
+        assert pinv_sqrt(a).real
+        assert fidelity(c, b) == fidelity(cc, bc)
+        # not Hermitian: the singular values of the same float64 matrix
+        plain = Operator(a.shape, a.entries.real @ b.entries.real)
+        other = Operator(a.shape, b.entries.real @ c.entries.real)
+        assert trace_norm(plain) == trace_norm(complex_copy(plain))
+        assert trace_distance(plain, other) == trace_distance(complex_copy(plain),
+                                                              complex_copy(other))
+
+
 class TestRealSpectralPath:
-    """A complex128 operator whose imaginary part is exactly zero is solved by
-    the real symmetric solver; any nonzero imaginary entry keeps it complex."""
+    """A real operator, or a complex128 one whose imaginary part is exactly
+    zero, is solved by the real symmetric solver; any nonzero imaginary
+    entry keeps it complex."""
 
     @pytest.fixture
     def solver_inputs(self, monkeypatch):
@@ -375,17 +465,21 @@ class TestRealSpectralPath:
             monkeypatch.setattr(np.linalg, name, record)
         return seen
 
-    @pytest.mark.parametrize("real,expected,nblocks", [
-        pytest.param(True, np.float64, 1, id="True-float64"),
-        pytest.param(False, np.complex128, 1, id="False-complex128"),
+    @pytest.mark.parametrize("real,built,expected,nblocks", [
+        pytest.param(True, complex_copy, np.float64, 1, id="True-float64"),
+        pytest.param(False, complex_copy, np.complex128, 1, id="False-complex128"),
         # 12 blocks of 8 in random order, D = 96 above the crossover: every
         # spectral input (a, a - b and the fidelity's middle operator) keeps
         # the blocks, so each solve is one (12, 8, 8) stack
-        pytest.param(True, np.float64, 12, id="blocks-True-float64"),
-        pytest.param(False, np.complex128, 12, id="blocks-False-complex128"),
+        pytest.param(True, complex_copy, np.float64, 12, id="blocks-True-float64"),
+        pytest.param(False, complex_copy, np.complex128, 12,
+                     id="blocks-False-complex128"),
+        # built from float64 arrays: marked real, read without a scan
+        pytest.param(True, real_built, np.float64, 1, id="real-built-float64"),
+        pytest.param(True, real_built, np.float64, 12, id="blocks-real-built-float64"),
     ])
-    def test_solver_dtype_follows_imaginary_part(self, solver_inputs, real, expected,
-                                                 nblocks):
+    def test_solver_dtype_follows_imaginary_part(self, solver_inputs, real, built,
+                                                 expected, nblocks):
         rng = stream_rng(12)
         if nblocks == 1:
             a, b = (random_rank_density(rng, 6, 6, real) for _ in range(2))
@@ -395,6 +489,8 @@ class TestRealSpectralPath:
             a, b = (random_block_density(rng, blocks, real) for _ in range(2))
             assert a.dim > _BLOCK_MIN_DIM
             shape = (nblocks, 8, 8)
+        a, b = built(a), built(b)
+        assert a.real is b.real is (built is real_built)
         assert a.entries.dtype == np.complex128
         trace_norm(a)
         trace_distance(a, b)

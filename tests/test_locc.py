@@ -2,13 +2,14 @@
 partially transposed difference-norm chain."""
 
 import itertools
+import time
 from math import comb
 
 import numpy as np
 import pytest
 
 from chslab import locc
-from chslab.errors import EnumerationTooLarge, ParameterError
+from chslab.errors import DimensionOverflow, EnumerationTooLarge, ParameterError
 from chslab.linalg import Operator, RegisterShape, partial_transpose, trace_norm
 from chslab.locc import (
     KneserParams,
@@ -21,6 +22,8 @@ from chslab.locc import (
     ppt_vs_haar_bound,
     _all_distinct,
     _mc_block,
+    _ppt_blocks,
+    _subset_overlaps,
     _subset_surrogates,
 )
 from chslab.rng import stream_rng
@@ -235,6 +238,26 @@ def dense_subset_pair_norm(d, t):
     return float(np.abs(np.linalg.eigvalsh(gamma(rho) - gamma(sigma))).sum())
 
 
+def gather_blocks(d, t):
+    """Every block j = 0..t of Gamma(rho) - Gamma(sigma), gathered from the
+    subset-overlap matrix: the pair (a, b) joins (c, e) when a, e and c, b
+    are disjoint and a u e = c u b, read off four gathers of g."""
+    g = _subset_overlaps(d, t)
+    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
+    weight_sigma = 1.0 / (comb(d, t) * comb(d - t, t))
+    blocks = []
+    for j in range(t + 1):
+        a, b = np.nonzero(g == j)
+        cross = g[np.ix_(a, b)]  # |a_r n b_s|: row r's a against column s's e
+        # a u e = c u b  <=>  |a n c| + |a n b| + |e n c| + |e n b| = 2t
+        joined = ((cross == 0) & (cross.T == 0)
+                  & (g[np.ix_(a, a)] + g[np.ix_(b, b)] == 2 * (t - j)))
+        block = weight_rho * joined
+        block[np.diag_indices(len(a))] -= weight_sigma * (cross.diagonal() == 0)
+        blocks.append(block)
+    return blocks
+
+
 class TestPptChain:
     def test_single_copy_value(self):
         chain = ppt_diff_norm(6, 1)
@@ -291,6 +314,32 @@ class TestPptChain:
         assert ppt_diff_norm(d, t).exact == pytest.approx(
             dense_subset_pair_norm(d, t), abs=1e-12)
 
+    @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 2), (7, 3), (8, 1), (8, 2),
+                                     (9, 3), (10, 2)])
+    def test_rule_blocks_match_gather_blocks(self, d, t):
+        # the gather construction, the oracle: its j = 0 block is exactly
+        # zero, and every j >= 1 block equals the scattered one entry for entry
+        gathered = gather_blocks(d, t)
+        assert not gathered[0].any()
+        built = list(_ppt_blocks(d, t))
+        assert len(built) == t
+        for j, block in enumerate(built, start=1):
+            np.testing.assert_array_equal(block, gathered[j])
+
+    def test_cap_admitted_size_refused_before_allocation(self):
+        # C(12,3)^2 = 48400 passes the enumeration cap, but the j = 1 block
+        # has 23760 rows, above the default dimension cap of 16384
+        start = time.perf_counter()
+        with pytest.raises(DimensionOverflow):
+            ppt_diff_norm(12, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_dimension_cap_is_the_largest_block(self):
+        # at (10, 2) the blocks have 720 (j = 1) and 45 (j = 2) rows
+        with pytest.raises(DimensionOverflow):
+            ppt_diff_norm(10, 2, cap=719)
+        assert ppt_diff_norm(10, 2, cap=720).exact == ppt_diff_norm(10, 2).exact
+
     @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2), (10, 2)])
     def test_zero_block_skips_the_solver(self, d, t, monkeypatch):
         # spied where the whole block enters the spectral primitive, before
@@ -306,8 +355,9 @@ class TestPptChain:
 
         monkeypatch.setattr(locc, "_eigvalsh", record)
         ppt_diff_norm(d, t)
-        # no solver call sees an all-zero matrix; the j = 0 block (disjoint
-        # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is skipped
+        # no solver call sees an all-zero matrix: the j = 0 block (disjoint
+        # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is never
+        # built, and the j >= 1 blocks come from the scatter rule
         assert solved and all(m.ndim == 2 and m.any() for m in solved)
         assert comb(d, t) * comb(d - t, t) not in [len(m) for m in solved]
 
@@ -364,3 +414,8 @@ class TestSandwich:
         assert res.half_norm_true is None
         assert res.slack_reference == pytest.approx(0.5)
         assert res.half_norm_surrogate > 0.0
+
+    def test_cap_reaches_the_surrogate_blocks(self):
+        # the j = 1 surrogate block at (10, 2) has 720 rows
+        with pytest.raises(DimensionOverflow):
+            ppt_vs_haar_bound(10, 2, cap=719)

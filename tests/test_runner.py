@@ -101,6 +101,13 @@ class TestRegistry:
         assert [c.name for c in report.checks] == ["error-EnumerationTooLarge"]
         assert not report.passed
 
+    def test_ppt_chain_past_the_dimension_cap_is_an_error_row(self):
+        # C(12,3)^2 = 48400 basis pairs pass the enumeration cap; the
+        # 23760-row block does not pass the dimension cap
+        report = run(ExperimentConfig("ppt-chain", params={"d": 12, "t": 3}))
+        assert [c.name for c in report.checks] == ["error-DimensionOverflow"]
+        assert not report.passed
+
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, MemoryError])
     def test_numeric_failure_becomes_error_row(self, monkeypatch, exc):
         def fail(params, seed, caps, rec):
