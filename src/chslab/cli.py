@@ -37,18 +37,6 @@ from .registry import (
 OUTDIR_ENV = "CHSLAB_OUTDIR"
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def _parse_param(name: str, text: str, default):
     """A ``[params]`` value read against its default's shape.
 
@@ -56,9 +44,14 @@ def _parse_param(name: str, text: str, default):
     tuple.  A tuple-of-tuples default takes ';'-separated comma lists, so
     ``0; 1`` is ``((0,), (1,))``; a comma list without ';' is refused as
     ambiguous (write ``0, 1;`` for one inner tuple).  An empty list is
-    refused.  Anything else is :func:`_parse_scalar`'s."""
-    if not isinstance(default, tuple) or not default:
-        return _parse_scalar(text)
+    refused.  Every other value, and every list item, is an integer, as
+    every default's leaves are."""
+    if not isinstance(default, tuple):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigInvalid(
+                f"parameter {name} must be an integer, got {text.strip()!r}") from None
     if isinstance(default[0], tuple):
         if ";" not in text and "," in text:
             raise ConfigInvalid(

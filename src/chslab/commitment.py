@@ -31,7 +31,7 @@ from .linalg import (
 )
 from .pseudo import _hybrid, _label_mask, _phases
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP
+from .typespace import DEFAULT_ENUM_CAP, haar_states_block
 
 __all__ = [
     "CommitmentParams",
@@ -120,7 +120,7 @@ def receiver_accept_prob(b: int, claimed: Operator, common: StateVector,
             vec = np.ones(1, dtype=np.complex128)
             for _ in range(sum(subset)):
                 vec = np.kron(vec, pair.amplitudes)
-            term = float(np.real(vec.conj() @ reduced.entries @ vec))
+            term = float(np.real(vec.conj() @ reduced.values @ vec))
         total += term
     return total / 2**cp.p
 
@@ -218,11 +218,8 @@ def random_strategy(common: StateVector, cp: CommitmentParams, seed: int,
     """Haar-random initial state with independent Haar reveal unitaries."""
     d = 2**cp.n
     rng = stream_rng(seed, 0)
-    dim_total = d ** (2 * cp.p) * env_dim
-    amps = rng.standard_normal(dim_total) + 1j * rng.standard_normal(dim_total)
-    amps /= np.linalg.norm(amps)
     shape = RegisterShape((d,) * (2 * cp.p) + (env_dim,))
-    initial = StateVector(shape, amps)
+    initial = StateVector(shape, haar_states_block(shape.total, 1, rng)[0])
 
     dim_re = d**cp.p * env_dim
     us = []

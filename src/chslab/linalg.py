@@ -4,18 +4,21 @@ Operators and states are stored as complex128.  An operator built from a
 real array (a bool, integer or float dtype) is marked ``real``: its
 Hermitian check runs on the float64 array, where |x - y| is the complex
 |(x + 0j) - (y + 0j)| bit for bit, and only then is its one complex128
-copy made.  Haar moments, label masks, ideal products and PPT blocks are
-real in the computational basis, so the exact path builds all of them this
-way, and partial trace, partial transpose and register permutation keep
-the mark.  An operator flagged Hermitian is checked exactly when it is
-built: the largest |m - m^H| is taken tile by tile, each tile on or above
-the diagonal against the conjugate transpose of its mirror tile, so both
-stay in cache; the maximum is the one-shot ``np.abs(m - m.conj().T).max()``
+copy made.  Code outside this module reads an operator's numbers through
+``Operator.values``: the float64 view ``entries.real`` of a real operator,
+``entries`` otherwise, so how an operator is stored is decided here alone.
+Haar moments, label masks, ideal products and PPT blocks are real in the
+computational basis, so the exact path builds all of them this way, and
+partial trace, partial transpose and register permutation, which reshape
+``values``, keep the mark.  An operator flagged Hermitian is checked
+exactly when it is built: the largest |m - m^H| is taken tile by tile,
+each tile on or above the diagonal against the conjugate transpose of its
+mirror tile, so both stay in cache; the maximum is the one-shot ``np.abs(m - m.conj().T).max()``
 bit for bit, and a NaN or infinite entry fails the check.  The spectral
 step (``trace_norm``, ``trace_distance``, ``fidelity``, ``pinv_sqrt``,
-``numeric_rank``) reads a real operator's float64 view, and the difference
-of two real operators is one contiguous float64 array; any other matrix
-whose imaginary part is exactly zero is also handed to LAPACK's real
+``numeric_rank``) reads ``values``, so the difference of two real
+operators is one contiguous float64 array; any other matrix whose
+imaginary part is exactly zero is also handed to LAPACK's real
 symmetric solver, which finds the same spectrum in a fraction of the
 complex solver's time, and a matrix with any nonzero imaginary entry takes
 the complex Hermitian solver.  The choice is read from the input, never
@@ -153,13 +156,11 @@ class Operator:
 
     Entries are always stored as complex128.  ``real`` is derived, never
     passed: it is True when ``entries`` came in with a bool, integer or
-    float dtype, and the spectral functions then read the float64 view
-    ``entries.real``; other matrices are solved in real arithmetic when
-    their imaginary part is exactly zero.  With ``hermitian_hint`` the
-    entries must satisfy max |m - m^H| <= HERM_TOL, checked tile by tile
-    (see :func:`_hermitian_defect`) on the float64 array of a real input,
-    before its complex128 copy is made; a NaN or an infinite entry fails
-    the check.
+    float dtype.  :attr:`values` is how the operator's numbers are read.
+    With ``hermitian_hint`` the entries must satisfy max |m - m^H| <=
+    HERM_TOL, checked tile by tile (see :func:`_hermitian_defect`) on the
+    float64 array of a real input, before its complex128 copy is made; a
+    NaN or an infinite entry fails the check.
     """
 
     shape: RegisterShape
@@ -185,6 +186,11 @@ class Operator:
     def dim(self) -> int:
         return self.shape.total
 
+    @property
+    def values(self) -> np.ndarray:
+        """The float64 view ``entries.real`` of a real operator, else ``entries``."""
+        return self.entries.real if self.real else self.entries
+
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -207,19 +213,12 @@ def _hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(tile_max))  # np.max keeps a NaN; builtin max may drop it
 
 
-def _as_legs(m: Operator) -> np.ndarray:
-    """The entries as 2r legs; a real operator's are its float64 view, so
-    the operators made from them are real too."""
-    dims = m.shape.dims
-    return (m.entries.real if m.real else m.entries).reshape(dims + dims)
-
-
 def partial_trace(m: Operator, keep) -> Operator:
     """Trace out every register not listed in ``keep``."""
     keep = m.shape.validate_registers(keep)
     dims = m.shape.dims
     r = len(dims)
-    legs = _as_legs(m)
+    legs = m.values.reshape(dims + dims)
     traced = [i for i in range(r) if i not in keep]
     for j, reg in enumerate(traced):
         # each completed trace removes one row and one column leg
@@ -236,7 +235,7 @@ def partial_transpose(m: Operator, over) -> Operator:
     over = m.shape.validate_registers(over)
     dims = m.shape.dims
     r = len(dims)
-    legs = _as_legs(m)
+    legs = m.values.reshape(dims + dims)
     axes = list(range(2 * r))
     for reg in over:
         axes[reg], axes[r + reg] = axes[r + reg], axes[reg]
@@ -256,7 +255,7 @@ def permute_registers(x, order):
         return StateVector(new_shape, arr)
     r = len(dims)
     axes = list(order) + [r + i for i in order]
-    arr = _as_legs(x).transpose(axes).reshape(x.dim, x.dim)
+    arr = x.values.reshape(dims + dims).transpose(axes).reshape(x.dim, x.dim)
     return Operator(new_shape, arr, hermitian_hint=x.hermitian_hint)
 
 
@@ -265,12 +264,6 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(m) and not m.imag.any():
         return m.real
     return m
-
-
-def _spectral_input(m: Operator) -> np.ndarray:
-    """What the spectral step reads of ``m``: a real operator's float64 view
-    with no imaginary scan, else its entries through :func:`_real_if_exact`."""
-    return m.entries.real if m.real else _real_if_exact(m.entries)
 
 
 def _component_roots(m: np.ndarray) -> np.ndarray:
@@ -385,31 +378,27 @@ def _trace_norm(m: np.ndarray, hermitian: bool) -> float:
     if hermitian:
         return float(np.abs(_eigvalsh(m)).sum())
     try:
-        return float(np.linalg.svd(m, compute_uv=False).sum())
+        return float(np.linalg.svd(_real_if_exact(m), compute_uv=False).sum())
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigsFailed(str(exc)) from exc
 
 
 def trace_norm(m: Operator) -> float:
     """Sum of singular values; via eigenvalues when flagged Hermitian."""
-    return _trace_norm(_spectral_input(m), m.hermitian_hint)
+    return _trace_norm(m.values, m.hermitian_hint)
 
 
 def trace_distance(a: Operator, b: Operator) -> float:
     """Half the trace norm of the difference.
 
     The difference of two operators flagged Hermitian goes straight to the
-    eigenvalue solver: both were checked when they were built.  Two real
-    operators are subtracted in float64, which is the real part of their
+    eigenvalue solver: both were checked when they were built.  The
+    difference of two real operators is float64, the real part of their
     complex difference bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    if a.real and b.real:
-        diff = a.entries.real - b.entries.real
-    else:
-        diff = _real_if_exact(a.entries - b.entries)
-    return 0.5 * _trace_norm(diff, a.hermitian_hint and b.hermitian_hint)
+    return 0.5 * _trace_norm(a.values - b.values, a.hermitian_hint and b.hermitian_hint)
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -427,11 +416,11 @@ def fidelity(a: Operator, b: Operator) -> float:
     """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    avals, avecs = _psd_eigh(_spectral_input(a))
-    b_entries = _spectral_input(b)
-    _require_psd(_eigvalsh(b_entries), PSD_TOL)  # validate the second argument too
+    avals, avecs = _psd_eigh(a.values)
+    b_values = _real_if_exact(b.values)
+    _require_psd(_eigvalsh(b_values), PSD_TOL)  # validate the second argument too
     sqrt_a = (avecs * np.sqrt(avals)) @ avecs.conj().T
-    mid = sqrt_a @ b_entries @ sqrt_a
+    mid = sqrt_a @ b_values @ sqrt_a
     mid = 0.5 * (mid + mid.conj().T)
     mvals = np.clip(_eigvalsh(mid), 0.0, None)
     return float(np.sqrt(mvals).sum() ** 2)
@@ -439,7 +428,7 @@ def fidelity(a: Operator, b: Operator) -> float:
 
 def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
     """Inverse square root on the support; eigenvalues <= cutoff go to 0."""
-    vals, vecs = _psd_eigh(_spectral_input(m))
+    vals, vecs = _psd_eigh(m.values)
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
     out = (vecs * inv) @ vecs.conj().T
     return Operator(m.shape, out, hermitian_hint=True)
@@ -447,7 +436,7 @@ def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
 
 def numeric_rank(m: Operator, rel_threshold: float = 1e-8) -> int:
     """Count of eigenvalues with |lam| > rel_threshold * max |lam|."""
-    vals = np.abs(_eigvalsh(_spectral_input(m)))
+    vals = np.abs(_eigvalsh(m.values))
     if vals.size == 0:
         return 0
     top = vals.max()

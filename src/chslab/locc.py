@@ -339,9 +339,9 @@ def _subset_surrogates(d: int, t: int, rho: Operator,
     distinct = _all_distinct(np.indices((d,) * (2 * t)).reshape(2 * t, -1).T)[:, None]
     scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
     scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
-    return (Operator(rho.shape, rho.entries.real * (distinct * scale_rho),
+    return (Operator(rho.shape, rho.values * (distinct * scale_rho),
                      hermitian_hint=True),
-            Operator(sigma.shape, sigma.entries.real * (distinct * scale_sigma),
+            Operator(sigma.shape, sigma.values * (distinct * scale_sigma),
                      hermitian_hint=True))
 
 
@@ -367,7 +367,7 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
     shape = RegisterShape((d,) * (2 * t))
     rho = haar_moment(d, 2 * t, cap)
-    sig_half = haar_moment(d, t, cap).entries.real
+    sig_half = haar_moment(d, t, cap).values
     sigma = Operator(shape, np.kron(sig_half, sig_half), hermitian_hint=True)
     b_regs = range(t, 2 * t)
     half_true = trace_distance(partial_transpose(rho, b_regs),

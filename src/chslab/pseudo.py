@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    _psd_eigh, _spectral_input, numeric_rank, permute_registers, trace_distance
+    _psd_eigh, numeric_rank, permute_registers, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -359,22 +359,22 @@ class HybridResult:
 def _keyed_state(d: int, total: int, suffix_shift: int, charges,
                  cap: int, enum_cap: int) -> Operator:
     """Keyed copies plus shared copies, averaged over the whole key space:
-    the total-copy Haar moment dephased by the charges' label mask, taken
-    on the moment's float64 view, so the state is a real operator."""
+    the total-copy Haar moment dephased by the charges' label mask, a real
+    operator like the moment."""
     moment = haar_moment(d, total, cap, enum_cap)
     mask = _label_mask(d, total, suffix_shift, charges)
-    return Operator(moment.shape, moment.entries.real * mask, hermitian_hint=True)
+    return Operator(moment.shape, moment.values * mask, hermitian_hint=True)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
     """One independent Haar moment per register group, in register order:
-    the Kronecker product of the moments' float64 views, a real operator."""
+    the Kronecker product of the moments, a real operator."""
     entries = np.ones((1, 1))
     order: list[int] = []
     for regs in groups:
         if len(regs):
             entries = np.kron(entries,
-                              haar_moment(d, len(regs), cap, enum_cap).entries.real)
+                              haar_moment(d, len(regs), cap, enum_cap).values)
             order.extend(int(r) for r in regs)
     grouped = Operator(RegisterShape((d,) * len(order)), entries, hermitian_hint=True)
     if order == sorted(order):
@@ -494,7 +494,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     total = ell + t
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
-    rho0 = _spectral_input(_keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap))
+    rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).values
     ideal = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap)
 
     # clipped negatives never reach the support, so rank0 and accept_pseudo
@@ -507,7 +507,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     # Tr(P rho1) over the support basis; a probability, so clip the
     # round-off that can carry it just past 1
     accept_haar = float(np.clip(
-        np.real(np.vdot(basis, _spectral_input(ideal) @ basis)), 0.0, 1.0))
+        np.real(np.vdot(basis, ideal.values @ basis)), 0.0, 1.0))
     rank1 = numeric_rank(ideal, rel_threshold)
 
     ratio_bound = 2**lam / comb(ell + t, ell)
@@ -530,12 +530,10 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     and with s = sigma^(-1/2), and every x contributes the same
     Tr(D_x M D_x s D_x M D_x s) = Tr(M s M s).
     """
-    from .linalg import pinv_sqrt
-
     d = 2**n
     total = m + 1
     sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
-    s = pinv_sqrt(Operator(sigma.shape, d * sigma.entries, hermitian_hint=True),
-                  cutoff).entries
-    ms = haar_moment(d, total, cap, enum_cap).entries @ s
+    s = pinv_sqrt(Operator(sigma.shape, d * sigma.values, hermitian_hint=True),
+                  cutoff).values
+    ms = haar_moment(d, total, cap, enum_cap).values @ s
     return float(np.real(np.trace(ms @ ms))), total / d

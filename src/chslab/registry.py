@@ -26,9 +26,9 @@ from . import commitment as cm
 from . import locc as lc
 from . import pseudo as ps
 from . import typespace as ts
-from .errors import ChslabError, ConfigInvalid
+from .errors import ChslabError, ConfigInvalid, ParameterError
 from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, _hermitian_defect, \
-    _spectral_input, numeric_rank
+    numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -122,13 +122,21 @@ class _Recorder:
         self.add(name, value, bound, mode, value <= bound + tol)
 
 
+def _count(params, name: str) -> int:
+    """``params[name]``, a number of draws or repeats; below 1 the
+    experiment would record a verdict without doing its work."""
+    if params[name] < 1:
+        raise ParameterError(f"{name} must be at least 1, got {params[name]}")
+    return params[name]
+
+
 def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
-    entries = op.entries
-    herm = _hermitian_defect(entries)
+    values = op.values
+    herm = _hermitian_defect(values)
     rec.close(f"{label}-hermitian-defect", herm, 0.0, EXACT, "hermitian", 1e-10)
-    rec.close(f"{label}-trace", float(np.real(np.trace(entries))), 1.0, EXACT,
+    rec.close(f"{label}-trace", float(np.real(np.trace(values))), 1.0, EXACT,
               "trace", 1e-10)
-    min_eig = float(_eigvalsh(_spectral_input(op)).min())
+    min_eig = float(_eigvalsh(values).min())
     rec.add(f"{label}-min-eigenvalue", min_eig, -1e-9, EXACT, min_eig >= -1e-9)
 
 
@@ -147,12 +155,12 @@ def _exp_type_orthonormality(params, seed, caps, rec: _Recorder):
 
 def _exp_haar_moment_identity(params, seed, caps, rec: _Recorder):
     d, t = params["d"], params["t"]
-    lifted = ts.haar_moment(d, t, caps.dim, caps.enum).entries
-    perm_route = ts.permutation_symmetrizer(d, t, caps.dim).entries / comb(d + t - 1, t)
+    lifted = ts.haar_moment(d, t, caps.dim, caps.enum).values
+    perm_route = ts.permutation_symmetrizer(d, t, caps.dim).values / comb(d + t - 1, t)
     rec.close("projector-vs-type-average", float(np.abs(lifted - perm_route).max()),
               0.0, EXACT, "identity", 1e-12)
     proj = ts.sym_projector(d, t, caps.dim, caps.enum)
-    idem = float(np.abs(proj.entries @ proj.entries - proj.entries).max())
+    idem = float(np.abs(proj.values @ proj.values - proj.values).max())
     rec.close("projector-idempotent", idem, 0.0, EXACT, "identity", 1e-12)
     rec.close("projector-rank", numeric_rank(proj), comb(d + t - 1, t), EXACT,
               "rank", 0.0)
@@ -223,7 +231,7 @@ def _exp_kneser(params, seed, caps, rec: _Recorder):
     exact, formula = lc.kneser_one_norm(lc.KneserParams(v, k), caps.enum)
     rec.close("one-norm-vs-formula", exact, formula, EXACT, "kneser", 1e-8)
     adj = lc.kneser_adjacency(lc.KneserParams(v, k), caps.enum)
-    degrees = adj.entries.real.sum(axis=1)
+    degrees = adj.values.sum(axis=1)
     rec.close("regular-degree", float(degrees.max()), comb(v - k, k), EXACT,
               "degree", 0.0)
     rec.close("degree-spread", float(degrees.max() - degrees.min()), 0.0, EXACT,
@@ -313,7 +321,7 @@ def _exp_onewayness(params, seed, caps, rec: _Recorder):
 def _exp_commit_complete(params, seed, caps, rec: _Recorder):
     cp = cm.CommitmentParams(params["lam"], params["n"], params["p"])
     worst = 1.0
-    for s in range(params["haar_seeds"]):
+    for s in range(_count(params, "haar_seeds")):
         common = ts.sample_haar(2**cp.n, seed, stream=s)
         for b in (0, 1):
             claimed = cm.commit_state(b, common, cp, caps.dim).density()
@@ -326,7 +334,7 @@ def _exp_commit_fidelity(params, seed, caps, rec: _Recorder):
     lam, n = params["lam"], params["n"]
     worst = 0.0
     bound = 2.0 ** -(n - lam)
-    for s in range(params["haar_seeds"]):
+    for s in range(_count(params, "haar_seeds")):
         common = ts.sample_haar(2**n, seed, stream=s)
         F, _ = cm.fidelity_bound_check(lam, n, common, caps.dim)
         worst = max(worst, F)
@@ -409,10 +417,10 @@ def _exp_prob_monotone(params, seed, caps, rec: _Recorder):
 # --------------------------------------------------------------------------
 
 def _exp_haar_moment_mc(params, seed, caps, rec: _Recorder):
-    d, t, samples = params["d"], params["t"], params["samples"]
-    target = ts.haar_moment(d, t, caps.dim, caps.enum).entries
+    d, t, samples = params["d"], params["t"], _count(params, "samples")
+    target = ts.haar_moment(d, t, caps.dim, caps.enum).values
     rng = stream_rng(seed, 0)
-    acc = np.zeros_like(target)
+    acc = np.zeros(target.shape, dtype=np.complex128)  # sampled states are complex
     remaining = samples
     while remaining > 0:
         rows = min(remaining, 16384)
@@ -428,7 +436,7 @@ def _exp_haar_moment_mc(params, seed, caps, rec: _Recorder):
 
 
 def _exp_haar_overlap_mc(params, seed, caps, rec: _Recorder):
-    d, samples = params["d"], params["samples"]
+    d, samples = params["d"], _count(params, "samples")
     rng = stream_rng(seed, 0)
     block = ts.haar_states_block(d, samples, rng)
     est = float(np.mean(np.abs(block[:, 0]) ** 2))
@@ -447,7 +455,7 @@ def _exp_locc_advantage(params, seed, caps, rec: _Recorder):
 
 def _exp_good_type_prob(params, seed, caps, rec: _Recorder):
     p = PrefixParams(params["n"], params["m"], params["ell"], params["t"])
-    res = ts.prob_good_type(p, trials=params["trials"], seed=seed,
+    res = ts.prob_good_type(p, trials=_count(params, "trials"), seed=seed,
                             enum_cap=caps.enum)
     rec.add("exact-fraction", float(res.exact), None, EXACT, True)
     gap = abs(res.mc_estimate - float(res.exact))
@@ -569,14 +577,13 @@ def _toolchain() -> dict:
 
 
 def _same_kind(value, default) -> bool:
-    """Whether ``value`` may stand for ``default``: an integer (not a bool)
-    for an integer, a tuple or list of items like the first item for a tuple."""
+    """Whether ``value`` may stand for ``default``: a nonempty tuple or list
+    of items like the first item for a tuple, else an integer (not a bool);
+    every default's leaves are integers."""
     if isinstance(default, tuple):
-        return (isinstance(value, (tuple, list))
+        return (isinstance(value, (tuple, list)) and len(value) > 0
                 and all(_same_kind(v, default[0]) for v in value))
-    if isinstance(default, numbers.Integral):
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    return isinstance(value, type(default))
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def run(config: ExperimentConfig) -> Report:

@@ -76,6 +76,42 @@ class TestRegistry:
         with pytest.raises(ConfigInvalid):
             run(ExperimentConfig("kneser", {"vv": 5}))
 
+    def test_every_default_leaf_is_an_integer(self):
+        # the CLI parses every [params] leaf with int(), and run() refuses
+        # anything that is not an integer or a nonempty list of them
+        def leaves(value):
+            if isinstance(value, tuple):
+                assert value
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for name, entry in REGISTRY.items():
+            for value in entry.defaults.values():
+                assert all(type(leaf) is int for leaf in leaves(value)), name
+
+    @pytest.mark.parametrize("name,params", [
+        ("good-type-prob", {"trials": 0}), ("good-type-prob", {"trials": -1}),
+        ("commit-complete", {"haar_seeds": 0}), ("commit-fidelity", {"haar_seeds": 0}),
+        ("haar-moment-mc", {"samples": 0}), ("haar-overlap-mc", {"samples": 0}),
+    ])
+    def test_count_below_one_is_an_error_row(self, name, params):
+        # each of these used to record a verdict, or crash, without drawing
+        # or checking anything
+        report = run(ExperimentConfig(name, params))
+        assert [c.name for c in report.checks] == ["error-ParameterError"]
+        assert not report.passed
+
+    @pytest.mark.parametrize("name,params", [
+        ("prs-decay", {"lams": ()}), ("multi-key-decay", {"lams": []}),
+        ("commit-hiding", {"ns": ()}), ("prob-monotone", {"ns": ()}),
+        ("prfs-hybrid", {"queries": ((0,), ())}),
+    ])
+    def test_empty_list_parameter_is_refused(self, name, params):
+        with pytest.raises(ConfigInvalid):
+            run(ExperimentConfig(name, params))
+
     def test_kneser_experiment_passes(self):
         report = run(ExperimentConfig("kneser", {"v": 5, "k": 2}, seed=1))
         assert report.passed
@@ -236,6 +272,7 @@ lams = 2,3
         ("prs-decay", "lams = 2, x"), ("prs-decay", "lams = ,"),
         ("prfs-hybrid", "queries = 0; x"), ("prfs-hybrid", "queries = ;"),
         ("prfs-hybrid", "queries = 0; 1.5"),
+        ("kneser", "v = 1.5"), ("kneser", "v = true"), ("kneser", "v = five"),
     ])
     def test_param_of_wrong_kind_exits_two(self, tmp_path, name, line):
         cfg = self.write_config(
