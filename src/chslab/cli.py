@@ -101,9 +101,9 @@ def _summary_table(reports: list[Report]) -> str:
     lines.append("-" * len(header))
     for r in reports:
         for c in r.checks:
-            ref = "" if c.reference is None else f"{c.reference:.6g}"
+            value, ref = ("" if v is None else f"{v:.6g}" for v in (c.value, c.reference))
             lines.append(
-                f"{r.experiment:<22} {c.name:<34} {c.value:>14.6g} {ref:>14} "
+                f"{r.experiment:<22} {c.name:<34} {value:>14} {ref:>14} "
                 f"{c.mode:<8} {'pass' if c.passed else 'FAIL'}")
     total = sum(len(r.checks) for r in reports)
     failed = sum(1 for r in reports for c in r.checks if not c.passed)

@@ -27,11 +27,15 @@ from .linalg import (
     Operator,
     RegisterShape,
     StateVector,
+    fidelity,
     partial_trace,
 )
 from .pseudo import _hybrid, _label_mask, _phases
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, haar_states_block
+
+# dimension of the environment register E of a malicious sender's strategy
+_ENV_DIM = 2
 
 __all__ = [
     "CommitmentParams",
@@ -148,18 +152,15 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     Returns (F, 2^-(n-lam)); the bound holds for every common state because
     the averaged state has rank at most 2^lam.
     """
-    from .linalg import fidelity
-
     if n < lam + 1:
         raise ParameterError(f"need n >= lam + 1, got n={n}, lam={lam}")
     d = 2**n
+    shape = RegisterShape((d,)).check_cap(cap)
     if common.dim != d:
         raise ShapeMismatch(f"common state dimension {common.dim} != 2^n = {d}")
     amps = common.amplitudes
     rho0 = np.outer(amps, amps.conj()) * _label_mask(d, 1, n - lam, [(0,)])
-    shape = RegisterShape((d,))
-    F = fidelity(Operator(shape, rho0, hermitian_hint=True),
-                 Operator(shape, np.eye(d) / d, hermitian_hint=True))
+    F = fidelity(Operator(shape, rho0), Operator(shape, np.eye(d) / d))
     return F, 2.0 ** -(n - lam)
 
 
@@ -193,35 +194,34 @@ def _interleaved_to_grouped(pair_amps: np.ndarray, p: int, d: int) -> np.ndarray
 
 
 def honest_strategy(b: int, common: StateVector, cp: CommitmentParams,
-                    env_dim: int = 2, cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
+                    cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
     """Commit honestly to ``b`` and reveal without touching the registers."""
     d = 2**cp.n
     grouped = _interleaved_to_grouped(commit_state(b, common, cp, cap).amplitudes,
                                       cp.p, d)
-    env = np.zeros(env_dim, dtype=np.complex128)
+    env = np.zeros(_ENV_DIM, dtype=np.complex128)
     env[0] = 1.0
-    shape = RegisterShape((d,) * (2 * cp.p) + (env_dim,))
+    shape = RegisterShape((d,) * (2 * cp.p) + (_ENV_DIM,))
     initial = StateVector(shape, np.kron(grouped, env))
-    eye = np.eye(d**cp.p * env_dim)
+    eye = np.eye(d**cp.p * _ENV_DIM)
     return MaliciousSender(initial, eye, eye)
 
 
 def commit_one_open_both_strategy(common: StateVector, cp: CommitmentParams,
-                                  env_dim: int = 2,
                                   cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
     """Commit to the b = 1 state and claim either bit at reveal time."""
-    return honest_strategy(1, common, cp, env_dim, cap)
+    return honest_strategy(1, common, cp, cap)
 
 
 def random_strategy(common: StateVector, cp: CommitmentParams, seed: int,
-                    env_dim: int = 2, cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
+                    cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
     """Haar-random initial state with independent Haar reveal unitaries."""
     d = 2**cp.n
     rng = stream_rng(seed, 0)
-    shape = RegisterShape((d,) * (2 * cp.p) + (env_dim,))
+    shape = RegisterShape((d,) * (2 * cp.p) + (_ENV_DIM,))
     initial = StateVector(shape, haar_states_block(shape.total, 1, rng)[0])
 
-    dim_re = d**cp.p * env_dim
+    dim_re = d**cp.p * _ENV_DIM
     us = []
     for _ in range(2):
         z = rng.standard_normal((dim_re, dim_re)) + 1j * rng.standard_normal((dim_re, dim_re))

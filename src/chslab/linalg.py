@@ -10,19 +10,20 @@ copy made.  Code outside this module reads an operator's numbers through
 Haar moments, label masks, ideal products and PPT blocks are real in the
 computational basis, so the exact path builds all of them this way, and
 partial trace, partial transpose and register permutation, which reshape
-``values``, keep the mark.  An operator flagged Hermitian is checked
-exactly when it is built: the largest |m - m^H| is taken tile by tile,
-each tile on or above the diagonal against the conjugate transpose of its
-mirror tile, so both stay in cache; the maximum is the one-shot ``np.abs(m - m.conj().T).max()``
-bit for bit, and a NaN or infinite entry fails the check.  The spectral
-step (``trace_norm``, ``trace_distance``, ``fidelity``, ``pinv_sqrt``,
-``numeric_rank``) reads ``values``, so the difference of two real
-operators is one contiguous float64 array; any other matrix whose
-imaginary part is exactly zero is also handed to LAPACK's real
+``values``, keep the mark.  Every operator is Hermitian, checked exactly
+when it is built: the largest |m - m^H| is taken tile by tile, each tile
+on or above the diagonal against the conjugate transpose of its mirror
+tile, so both stay in cache; the maximum is the one-shot
+``np.abs(m - m.conj().T).max()`` bit for bit, and a NaN or infinite entry
+fails the check.  The spectral step (``trace_norm``, ``trace_distance``,
+``fidelity``, ``pinv_sqrt``, ``numeric_rank``) is an eigensolve on
+``values``; the trace norm is the sum of |eigenvalues|.  The difference of
+two real operators is one contiguous float64 array, and any other matrix
+whose imaginary part is exactly zero is also handed to LAPACK's real
 symmetric solver, which finds the same spectrum in a fraction of the
-complex solver's time, and a matrix with any nonzero imaginary entry takes
-the complex Hermitian solver.  The choice is read from the input, never
-set by a flag.  Every exact-path eigensolve also reads the matrix's
+complex solver's time; a matrix with any nonzero imaginary entry takes the
+complex Hermitian solver.  The choice is read from the input, never set by
+a flag.  Every exact-path eigensolve also reads the matrix's
 exact zero pattern: above D = 64 it labels the connected components of the
 pattern's lower triangle (the part LAPACK reads) and solves the blocks of
 each size as one batched stack, since a matrix that is block diagonal up to
@@ -82,6 +83,7 @@ DEFAULT_DIM_CAP = 16384
 NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_TOL = 1e-8
+RANK_TOL = 1e-8
 
 # rows per tile of the Hermitian check: two 128-square complex tiles
 # (256 KiB each) stay in L2 while their defect is taken
@@ -146,26 +148,24 @@ class StateVector:
         return self.shape.total
 
     def density(self) -> "Operator":
-        return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()),
-                        hermitian_hint=True)
+        return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class Operator:
-    """Square complex matrix with an attached register shape.
+    """Hermitian matrix with an attached register shape.
 
     Entries are always stored as complex128.  ``real`` is derived, never
     passed: it is True when ``entries`` came in with a bool, integer or
     float dtype.  :attr:`values` is how the operator's numbers are read.
-    With ``hermitian_hint`` the entries must satisfy max |m - m^H| <=
-    HERM_TOL, checked tile by tile (see :func:`_hermitian_defect`) on the
-    float64 array of a real input, before its complex128 copy is made; a
-    NaN or an infinite entry fails the check.
+    The entries must satisfy max |m - m^H| <= HERM_TOL, checked tile by
+    tile (see :func:`_hermitian_defect`) on the float64 array of a real
+    input, before its complex128 copy is made; a NaN or an infinite entry
+    fails the check.
     """
 
     shape: RegisterShape
     entries: np.ndarray = field(repr=False)
-    hermitian_hint: bool = False
     real: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -175,10 +175,9 @@ class Operator:
         n = self.shape.total
         if m.shape != (n, n):
             raise ShapeMismatch(f"entries shape {m.shape} != ({n}, {n})")
-        if self.hermitian_hint:
-            defect = _hermitian_defect(m)
-            if not defect <= HERM_TOL:  # NaN compares False
-                raise ParameterError(f"hermitian_hint set but defect {defect:.3e} > {HERM_TOL}")
+        defect = _hermitian_defect(m)
+        if not defect <= HERM_TOL:  # NaN compares False
+            raise ParameterError(f"not Hermitian: defect {defect:.3e} > {HERM_TOL}")
         object.__setattr__(self, "entries", m.astype(np.complex128, copy=False))
         object.__setattr__(self, "real", real)
 
@@ -227,7 +226,7 @@ def partial_trace(m: Operator, keep) -> Operator:
         legs = np.trace(legs, axis1=ax, axis2=rows_left + ax)
     new_shape = RegisterShape(tuple(dims[i] for i in keep))
     n = new_shape.total
-    return Operator(new_shape, legs.reshape(n, n), hermitian_hint=m.hermitian_hint)
+    return Operator(new_shape, legs.reshape(n, n))
 
 
 def partial_transpose(m: Operator, over) -> Operator:
@@ -240,7 +239,7 @@ def partial_transpose(m: Operator, over) -> Operator:
     for reg in over:
         axes[reg], axes[r + reg] = axes[r + reg], axes[reg]
     out = legs.transpose(axes).reshape(m.dim, m.dim)
-    return Operator(m.shape, out, hermitian_hint=m.hermitian_hint)
+    return Operator(m.shape, out)
 
 
 def permute_registers(x, order):
@@ -256,7 +255,7 @@ def permute_registers(x, order):
     r = len(dims)
     axes = list(order) + [r + i for i in order]
     arr = x.values.reshape(dims + dims).transpose(axes).reshape(x.dim, x.dim)
-    return Operator(new_shape, arr, hermitian_hint=x.hermitian_hint)
+    return Operator(new_shape, arr)
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -374,31 +373,22 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     return _spectrum(m, vectors=False)
 
 
-def _trace_norm(m: np.ndarray, hermitian: bool) -> float:
-    if hermitian:
-        return float(np.abs(_eigvalsh(m)).sum())
-    try:
-        return float(np.linalg.svd(_real_if_exact(m), compute_uv=False).sum())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigsFailed(str(exc)) from exc
-
-
 def trace_norm(m: Operator) -> float:
-    """Sum of singular values; via eigenvalues when flagged Hermitian."""
-    return _trace_norm(m.values, m.hermitian_hint)
+    """Sum of |eigenvalues|, the sum of singular values of a Hermitian matrix."""
+    return float(np.abs(_eigvalsh(m.values)).sum())
 
 
 def trace_distance(a: Operator, b: Operator) -> float:
     """Half the trace norm of the difference.
 
-    The difference of two operators flagged Hermitian goes straight to the
-    eigenvalue solver: both were checked when they were built.  The
-    difference of two real operators is float64, the real part of their
-    complex difference bit for bit.
+    The difference of two operators is Hermitian, since both were checked
+    when they were built, so it goes straight to the eigenvalue solver.
+    The difference of two real operators is float64, the real part of
+    their complex difference bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    return 0.5 * _trace_norm(a.values - b.values, a.hermitian_hint and b.hermitian_hint)
+    return 0.5 * float(np.abs(_eigvalsh(a.values - b.values)).sum())
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -431,10 +421,10 @@ def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
     vals, vecs = _psd_eigh(m.values)
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
     out = (vecs * inv) @ vecs.conj().T
-    return Operator(m.shape, out, hermitian_hint=True)
+    return Operator(m.shape, out)
 
 
-def numeric_rank(m: Operator, rel_threshold: float = 1e-8) -> int:
+def numeric_rank(m: Operator, rel_threshold: float = RANK_TOL) -> int:
     """Count of eigenvalues with |lam| > rel_threshold * max |lam|."""
     vals = np.abs(_eigvalsh(m.values))
     if vals.size == 0:

@@ -89,6 +89,8 @@ class LoccParams:
     def __post_init__(self) -> None:
         if self.d < 2 or self.t < 0 or self.trials < 1:
             raise ParameterError("bad LOCC parameters")
+        if self.d + 2 * self.t - 1 > np.iinfo(np.int64).max:  # last urn draw's bound
+            raise ParameterError(f"urn bound d + 2t - 1 does not fit int64 at d={self.d}")
 
 
 def _subset_members(d: int, t: int) -> np.ndarray:
@@ -127,7 +129,7 @@ def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP) -> Oper
     if count > enum_cap:
         raise EnumerationTooLarge(f"{count} vertices exceeds cap {enum_cap}")
     out = (_subset_overlaps(kp.v, kp.k) == 0).astype(float)
-    return Operator(RegisterShape((count,)), out, hermitian_hint=True)
+    return Operator(RegisterShape((count,)), out)
 
 
 def _kneser_formula(v: int, k: int) -> float:
@@ -339,10 +341,8 @@ def _subset_surrogates(d: int, t: int, rho: Operator,
     distinct = _all_distinct(np.indices((d,) * (2 * t)).reshape(2 * t, -1).T)[:, None]
     scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
     scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
-    return (Operator(rho.shape, rho.values * (distinct * scale_rho),
-                     hermitian_hint=True),
-            Operator(sigma.shape, sigma.values * (distinct * scale_sigma),
-                     hermitian_hint=True))
+    return (Operator(rho.shape, rho.values * (distinct * scale_rho)),
+            Operator(sigma.shape, sigma.values * (distinct * scale_sigma)))
 
 
 def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
@@ -368,7 +368,7 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     shape = RegisterShape((d,) * (2 * t))
     rho = haar_moment(d, 2 * t, cap)
     sig_half = haar_moment(d, t, cap).values
-    sigma = Operator(shape, np.kron(sig_half, sig_half), hermitian_hint=True)
+    sigma = Operator(shape, np.kron(sig_half, sig_half))
     b_regs = range(t, 2 * t)
     half_true = trace_distance(partial_transpose(rho, b_regs),
                                partial_transpose(sigma, b_regs))

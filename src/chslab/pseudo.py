@@ -28,7 +28,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
+from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, StateVector, \
     _psd_eigh, numeric_rank, permute_registers, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
@@ -363,7 +363,7 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
     operator like the moment."""
     moment = haar_moment(d, total, cap, enum_cap)
     mask = _label_mask(d, total, suffix_shift, charges)
-    return Operator(moment.shape, moment.values * mask, hermitian_hint=True)
+    return Operator(moment.shape, moment.values * mask)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
@@ -376,7 +376,7 @@ def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
             entries = np.kron(entries,
                               haar_moment(d, len(regs), cap, enum_cap).values)
             order.extend(int(r) for r in regs)
-    grouped = Operator(RegisterShape((d,) * len(order)), entries, hermitian_hint=True)
+    grouped = Operator(RegisterShape((d,) * len(order)), entries)
     if order == sorted(order):
         return grouped
     # grouped register g holds register order[g]
@@ -479,8 +479,7 @@ class RankAttackResult:
     ratio_bound: float
 
 
-def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
-                cap: int = DEFAULT_DIM_CAP,
+def rank_attack(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> RankAttackResult:
     """Support-projector distinguisher against a single-copy generator family.
 
@@ -500,7 +499,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     # clipped negatives never reach the support, so rank0 and accept_pseudo
     # are those of the unclipped spectrum
     vals0, vecs0 = _psd_eigh(rho0)
-    support = vals0 > rel_threshold * vals0.max()
+    support = vals0 > RANK_TOL * vals0.max()
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())
     basis = vecs0[:, support]
@@ -508,7 +507,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
     # round-off that can carry it just past 1
     accept_haar = float(np.clip(
         np.real(np.vdot(basis, ideal.values @ basis)), 0.0, 1.0))
-    rank1 = numeric_rank(ideal, rel_threshold)
+    rank1 = numeric_rank(ideal)
 
     ratio_bound = 2**lam / comb(ell + t, ell)
     for i in range(ell):
@@ -517,8 +516,7 @@ def rank_attack(params: PseudoParams, rel_threshold: float = 1e-8,
 
 
 def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
-                        enum_cap: int = DEFAULT_ENUM_CAP,
-                        cutoff: float = 1e-10) -> tuple[float, float]:
+                        enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[float, float]:
     """Average overlap of the phased moments against the inverse square root
     of their mixture; bounded by (m+1)/d for d = 2^n.
 
@@ -533,7 +531,6 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     d = 2**n
     total = m + 1
     sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
-    s = pinv_sqrt(Operator(sigma.shape, d * sigma.values, hermitian_hint=True),
-                  cutoff).values
+    s = pinv_sqrt(Operator(sigma.shape, d * sigma.values)).values
     ms = haar_moment(d, total, cap, enum_cap).values @ s
     return float(np.real(np.trace(ms @ ms))), total / d

@@ -27,8 +27,8 @@ from . import locc as lc
 from . import pseudo as ps
 from . import typespace as ts
 from .errors import ChslabError, ConfigInvalid, ParameterError
-from .linalg import DEFAULT_DIM_CAP, Operator, _eigvalsh, _hermitian_defect, \
-    numeric_rank
+from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, _eigvalsh, \
+    _hermitian_defect, numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -48,6 +48,8 @@ __all__ = [
 EXACT = "exact"
 SAMPLED = "sampled"
 
+_MC_ROWS = 16384  # Haar states per sampled block
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -63,7 +65,7 @@ class Caps:
 @dataclass
 class CheckRecord:
     name: str
-    value: float
+    value: float | None
     reference: float | None
     mode: str
     passed: bool
@@ -107,8 +109,8 @@ class _Recorder:
         now = time.perf_counter()
         elapsed = (now - self._mark) * 1000.0
         self._mark = now
-        ref = None if reference is None else float(reference)
-        self.rows.append(CheckRecord(name, float(value), ref, mode, bool(passed), elapsed))
+        value, ref = (None if v is None else float(v) for v in (value, reference))
+        self.rows.append(CheckRecord(name, value, ref, mode, bool(passed), elapsed))
 
     def close(self, name: str, value, reference, mode: str, tol_key: str,
               default_tol: float) -> None:
@@ -128,6 +130,13 @@ def _count(params, name: str) -> int:
     if params[name] < 1:
         raise ParameterError(f"{name} must be at least 1, got {params[name]}")
     return params[name]
+
+
+def _haar_blocks(d: int, samples: int, rng):
+    """``samples`` Haar states in C^d, drawn as (rows, d) blocks of at most
+    _MC_ROWS rows, so memory stays flat in the sample count."""
+    for start in range(0, samples, _MC_ROWS):
+        yield ts.haar_states_block(d, min(_MC_ROWS, samples - start), rng)
 
 
 def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
@@ -320,6 +329,7 @@ def _exp_onewayness(params, seed, caps, rec: _Recorder):
 
 def _exp_commit_complete(params, seed, caps, rec: _Recorder):
     cp = cm.CommitmentParams(params["lam"], params["n"], params["p"])
+    RegisterShape((2**cp.n,)).check_cap(caps.dim)  # before the Haar draws
     worst = 1.0
     for s in range(_count(params, "haar_seeds")):
         common = ts.sample_haar(2**cp.n, seed, stream=s)
@@ -334,6 +344,7 @@ def _exp_commit_fidelity(params, seed, caps, rec: _Recorder):
     lam, n = params["lam"], params["n"]
     worst = 0.0
     bound = 2.0 ** -(n - lam)
+    RegisterShape((2**n,)).check_cap(caps.dim)  # before the Haar draws
     for s in range(_count(params, "haar_seeds")):
         common = ts.sample_haar(2**n, seed, stream=s)
         F, _ = cm.fidelity_bound_check(lam, n, common, caps.dim)
@@ -343,6 +354,7 @@ def _exp_commit_fidelity(params, seed, caps, rec: _Recorder):
 
 def _exp_commit_binding(params, seed, caps, rec: _Recorder):
     cp = cm.CommitmentParams(params["lam"], params["n"], params["p"])
+    RegisterShape((2**cp.n,)).check_cap(caps.dim)  # before the Haar draw
     common = ts.sample_haar(2**cp.n, seed, stream=0)
     strategies = [
         cm.honest_strategy(0, common, cp, cap=caps.dim),
@@ -421,15 +433,11 @@ def _exp_haar_moment_mc(params, seed, caps, rec: _Recorder):
     target = ts.haar_moment(d, t, caps.dim, caps.enum).values
     rng = stream_rng(seed, 0)
     acc = np.zeros(target.shape, dtype=np.complex128)  # sampled states are complex
-    remaining = samples
-    while remaining > 0:
-        rows = min(remaining, 16384)
-        block = ts.haar_states_block(d, rows, rng)
+    for block in _haar_blocks(d, samples, rng):
         lifted = block
         for _ in range(t - 1):
-            lifted = np.einsum("na,nb->nab", lifted, block).reshape(rows, -1)
+            lifted = np.einsum("na,nb->nab", lifted, block).reshape(len(block), -1)
         acc += np.einsum("na,nb->ab", lifted, lifted.conj())
-        remaining -= rows
     acc /= samples
     rec.close("mc-vs-exact-max-entry", float(np.abs(acc - target).max()), 0.0,
               SAMPLED, "mc", 5e-3)
@@ -437,17 +445,19 @@ def _exp_haar_moment_mc(params, seed, caps, rec: _Recorder):
 
 def _exp_haar_overlap_mc(params, seed, caps, rec: _Recorder):
     d, samples = params["d"], _count(params, "samples")
+    RegisterShape((d,)).check_cap(caps.dim)  # before the Haar draws
     rng = stream_rng(seed, 0)
-    block = ts.haar_states_block(d, samples, rng)
-    est = float(np.mean(np.abs(block[:, 0]) ** 2))
+    est = sum(float(np.sum(np.abs(block[:, 0]) ** 2))
+              for block in _haar_blocks(d, samples, rng)) / samples
     rec.close("mean-overlap", est, 1.0 / d, SAMPLED, "mc", 5e-3)
 
 
 def _exp_locc_advantage(params, seed, caps, rec: _Recorder):
     d, t, trials = params["d"], params["t"], params["trials"]
+    lp = lc.LoccParams(d, t, trials, seed)
     closed = lc.locc_advantage_closed_form(d, t)
     rec.add("closed-form", closed, None, EXACT, closed > 0.0)
-    est, stderr = lc.locc_advantage_mc(lc.LoccParams(d, t, trials, seed))
+    est, stderr = lc.locc_advantage_mc(lp)
     rec.add("mc-estimate", est, closed, SAMPLED, abs(est - closed) <= 4 * stderr)
     rec.add("mc-stderr", stderr, None, SAMPLED, True)
     rec.add("scaled-ratio", closed * d / (t * t), None, EXACT, True)
@@ -606,7 +616,7 @@ def run(config: ExperimentConfig) -> Report:
     try:
         entry.fn(params, config.seed, config.caps, rec)
     except (ChslabError, np.linalg.LinAlgError, MemoryError) as exc:
-        rec.add(f"error-{type(exc).__name__}", float("nan"), None, EXACT, False)
+        rec.add(f"error-{type(exc).__name__}", None, None, EXACT, False)
     return Report(config.experiment, params, config.seed, rec.rows, _toolchain())
 
 
@@ -648,7 +658,8 @@ def report_to_csv_rows(reports) -> list[list]:
              "passed", "runtime_ms"]]
     for r in reports:
         for c in r.checks:
-            rows.append([r.experiment, r.seed, c.name, repr(c.value),
+            rows.append([r.experiment, r.seed, c.name,
+                         "" if c.value is None else repr(c.value),
                          "" if c.reference is None else repr(c.reference),
                          c.mode, c.passed, f"{c.runtime_ms:.3f}"])
     return rows

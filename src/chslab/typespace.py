@@ -214,8 +214,7 @@ def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     arrangements of the same type and 0 otherwise: the sum of |T><T| over
     types, built from the sorted digits of each flat index.
     """
-    return Operator(RegisterShape((d,) * t), _type_class_matrix(d, t, cap, enum_cap),
-                    hermitian_hint=True)
+    return Operator(RegisterShape((d,) * t), _type_class_matrix(d, t, cap, enum_cap))
 
 
 def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Operator:
@@ -231,7 +230,7 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
         dest = sum((digits[sigma[j]] * d ** (t - 1 - j) for j in range(t)),
                    start=np.zeros(dim, dtype=np.int64))
         out[dest, idx] += 1.0
-    return Operator(shape, out / factorial(t), hermitian_hint=True)
+    return Operator(shape, out / factorial(t))
 
 
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
@@ -241,7 +240,7 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     in float64 before the one complex128 copy is made."""
     moment = _type_class_matrix(d, t, cap, enum_cap)
     moment /= comb(d + t - 1, t)
-    return Operator(RegisterShape((d,) * t), moment, hermitian_hint=True)
+    return Operator(RegisterShape((d,) * t), moment)
 
 
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

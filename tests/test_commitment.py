@@ -17,7 +17,7 @@ from chslab.commitment import (
     random_strategy,
     receiver_accept_prob,
 )
-from chslab.errors import NotUnitary, ParameterError, ShapeMismatch
+from chslab.errors import DimensionOverflow, NotUnitary, ParameterError, ShapeMismatch
 from chslab.linalg import (
     DEFAULT_DIM_CAP,
     Operator,
@@ -109,8 +109,7 @@ class TestReceiverAcceptProb:
         cp = CommitmentParams(1, 2, p)
         common = sample_haar(4, seed=5)
         dim = 16**p
-        claimed = Operator(RegisterShape((4,) * (2 * p)), np.eye(dim) / dim,
-                           hermitian_hint=True)
+        claimed = Operator(RegisterShape((4,) * (2 * p)), np.eye(dim) / dim)
         expected = (0.5 * (1 + 1 / 16)) ** p
         assert receiver_accept_prob(0, claimed, common, cp) == pytest.approx(
             expected, abs=1e-12)
@@ -121,8 +120,7 @@ class TestReceiverAcceptProb:
         rng = stream_rng(7)
         z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
         m = z @ z.conj().T
-        claimed = Operator(RegisterShape((4, 4, 4, 4)), m / np.trace(m),
-                           hermitian_hint=True)
+        claimed = Operator(RegisterShape((4, 4, 4, 4)), m / np.trace(m))
         for b in (0, 1):
             dense = dense_accept_povm(b, common, cp)
             expected = float(np.real(np.trace(dense @ claimed.entries)))
@@ -139,8 +137,7 @@ class TestReceiverAcceptProb:
     def test_shape_guard(self):
         cp = CommitmentParams(1, 2, 2)
         common = sample_haar(4, seed=9)
-        claimed = Operator(RegisterShape((4, 4)), np.eye(16) / 16,
-                           hermitian_hint=True)
+        claimed = Operator(RegisterShape((4, 4)), np.eye(16) / 16)
         with pytest.raises(ShapeMismatch):
             receiver_accept_prob(0, claimed, common, cp)
 
@@ -158,7 +155,7 @@ class TestHiding:
         for _ in range(p):
             entries = np.kron(entries, np.eye(d) / d)
         entries = np.kron(entries, haar_moment(d, t).entries)
-        branch1 = Operator(branch0.shape, entries, hermitian_hint=True)
+        branch1 = Operator(branch0.shape, entries)
         assert hiding_distance(CommitmentParams(lam, n, p, t)) == pytest.approx(
             trace_distance(branch0, branch1), abs=1e-12)
 
@@ -198,6 +195,11 @@ class TestFidelityBound:
     def test_parameter_guard(self):
         with pytest.raises(ParameterError):
             fidelity_bound_check(2, 2, sample_haar(4, 0))
+
+    def test_cap_is_checked(self):
+        with pytest.raises(DimensionOverflow):
+            fidelity_bound_check(1, 2, sample_haar(4, 0), cap=3)
+        assert fidelity_bound_check(1, 2, sample_haar(4, 0), cap=4)[0] > 0.0
 
 
 class TestBindingSum:

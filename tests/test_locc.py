@@ -283,11 +283,8 @@ class TestPptChain:
         shape = RegisterShape((d,) * (2 * t))
         diff = Operator(
             shape,
-            partial_transpose(Operator(shape, rho, hermitian_hint=True),
-                              [2, 3]).entries
-            - partial_transpose(Operator(shape, sigma, hermitian_hint=True),
-                                [2, 3]).entries,
-            hermitian_hint=True)
+            partial_transpose(Operator(shape, rho), [2, 3]).entries
+            - partial_transpose(Operator(shape, sigma), [2, 3]).entries)
         assert trace_norm(diff) == pytest.approx(ppt_diff_norm(d, t).exact,
                                                  abs=1e-8)
 
@@ -295,7 +292,7 @@ class TestPptChain:
         d, t = 5, 1
         _, sigma = full_space_surrogates(d, t)
         shape = RegisterShape((d, d))
-        op = Operator(shape, sigma, hermitian_hint=True)
+        op = Operator(shape, sigma)
         np.testing.assert_allclose(partial_transpose(op, [1]).entries, sigma,
                                    atol=1e-12)
 
@@ -364,9 +361,9 @@ class TestPptChain:
     @pytest.mark.parametrize("d,t", [(4, 1), (5, 2), (6, 2)])
     def test_mask_surrogates_match_subset_mixtures(self, d, t):
         shape = RegisterShape((d,) * (2 * t))
-        rho = Operator(shape, haar_moment(d, 2 * t).entries, hermitian_hint=True)
+        rho = Operator(shape, haar_moment(d, 2 * t).entries)
         half = haar_moment(d, t).entries
-        sigma = Operator(shape, np.kron(half, half), hermitian_hint=True)
+        sigma = Operator(shape, np.kron(half, half))
         rho_tilde, sigma_tilde = _subset_surrogates(d, t, rho, sigma)
         rho_oracle, sigma_oracle = full_space_surrogates(d, t)
         np.testing.assert_allclose(rho_tilde.entries, rho_oracle, rtol=0, atol=1e-15)

@@ -618,7 +618,7 @@ def onewayness_oracle(n, m):
     for x in range(d):
         ph = np.array([(-1.0) ** bin(f & x).count("1") for f in first])
         rhos.append(moment * np.outer(ph, ph))
-    sigma = Operator(RegisterShape((d,) * total), sum(rhos), hermitian_hint=True)
+    sigma = Operator(RegisterShape((d,) * total), sum(rhos))
     s = pinv_sqrt(sigma, 1e-10).entries
     return sum(float(np.real(np.trace(r @ s @ r @ s))) for r in rhos) / d
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chslab import typespace as ts
 from chslab.cli import load_config, main
 from chslab.errors import ConfigInvalid
 from chslab.registry import (
@@ -143,6 +144,35 @@ class TestRegistry:
         report = run(ExperimentConfig("ppt-chain", params={"d": 12, "t": 3}))
         assert [c.name for c in report.checks] == ["error-DimensionOverflow"]
         assert not report.passed
+
+    @pytest.mark.parametrize("name,params,error", [
+        # the urn's last draw bound d + 2t - 1 = 2^63 + 1 does not fit int64
+        ("locc-advantage", {"d": 2**63}, "error-ParameterError"),
+        # a Haar state in C^(2^62) is past the dimension cap before it is drawn
+        ("commit-complete", {"n": 62}, "error-DimensionOverflow"),
+        ("commit-fidelity", {"n": 62}, "error-DimensionOverflow"),
+        ("commit-binding", {"n": 62}, "error-DimensionOverflow"),
+        ("haar-overlap-mc", {"d": 2**62}, "error-DimensionOverflow"),
+    ])
+    def test_out_of_range_size_is_an_error_row(self, name, params, error):
+        # each of these used to crash run() with numpy's ValueError
+        report = run(ExperimentConfig(name, params))
+        assert [c.name for c in report.checks] == [error]
+        assert not report.passed
+
+    @pytest.mark.parametrize("name", ["haar-moment-mc", "haar-overlap-mc"])
+    def test_haar_draws_come_in_blocks(self, monkeypatch, name):
+        # 100000 samples as 16384-row blocks, so memory stays flat in the count
+        rows = []
+        draw = ts.haar_states_block
+
+        def record(d, count, rng):
+            rows.append(count)
+            return draw(d, count, rng)
+
+        monkeypatch.setattr(ts, "haar_states_block", record)
+        assert run(ExperimentConfig(name, seed=3)).passed
+        assert rows == [16384] * 6 + [1696]
 
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, MemoryError])
     def test_numeric_failure_becomes_error_row(self, monkeypatch, exc):
@@ -294,6 +324,30 @@ lams = 2,3
                     for r in json.loads(path.read_text())]
 
         assert rows(plain) == rows(flagged)
+
+    def test_error_row_is_strict_json(self, tmp_path, capsys):
+        # an error row's value is null, not NaN, which strict parsers refuse
+        cfg = self.write_config(tmp_path, """
+[experiment]
+name = good-type-prob
+
+[params]
+trials = 0
+""")
+        out = tmp_path / "e.json"
+        assert main(["--out", str(out), "run", cfg]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        check, = payload[0]["checks"]
+        assert (check["name"], check["value"]) == ("error-ParameterError", None)
+        assert "error-ParameterError" in capsys.readouterr().out
+        csv_out = tmp_path / "e.csv"
+        assert main(["--format", "csv", "--out", str(csv_out), "run", cfg]) == 1
+        row = csv_out.read_text().splitlines()[1].split(",")
+        assert row[2:5] == ["error-ParameterError", "", ""]
 
     def test_seed_override_and_csv(self, tmp_path):
         cfg = self.write_config(tmp_path, """
