@@ -274,11 +274,16 @@ class TestNormsAndDistances:
         assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
 
-    def test_distance_matches_svd_past_one_tile(self):
-        # oracle: singular values of the difference
+    @pytest.mark.parametrize("flags", [(False, False), (True, False)])
+    def test_distance_matches_svd_past_one_tile(self, flags):
+        # oracle: singular values of the difference; flags say which operand
+        # is real, so (True, False) takes a real minus a complex operator
         rng = stream_rng(23)
         shape = RegisterShape((10, 30))
-        a, b = (random_density(rng, shape) for _ in range(2))
+        a, b = (Operator(shape, random_rank_density(rng, shape.total, shape.total,
+                                                    real).values)
+                for real in flags)
+        assert (a.real, b.real) == flags
         oracle = 0.5 * np.linalg.svd(a.entries - b.entries, compute_uv=False).sum()
         assert trace_distance(a, b) == pytest.approx(oracle, abs=1e-12)
 
