@@ -318,22 +318,30 @@ def _block_indices(m: np.ndarray) -> list[np.ndarray] | None:
     against 0.10-0.71 ms (blocks faster in 5 of 6), at D = 128 0.32-2.0 ms
     against 0.19-0.92 ms, at D = 256 2.2-11.5 ms against 0.50-2.0 ms.
     """
-    n = len(m)
-    if n <= _BLOCK_MIN_DIM:
+    if len(m) <= _BLOCK_MIN_DIM:
         return None
-    roots = _component_roots(m)
-    sizes = np.bincount(roots, minlength=n)
-    root_sizes = sizes[sizes > 0]
-    if len(root_sizes) == 1:
+    # each block's rows ascend, so its lower triangle, the one LAPACK reads,
+    # is a part of m's lower triangle
+    groups = _label_groups(_component_roots(m))
+    if len(groups) == 1 and len(groups[0]) == 1:
         return None
-    # a stable sort keeps each component's indices ascending, so each block's
-    # lower triangle, the one LAPACK reads, is a part of m's lower triangle
-    members = np.argsort(roots, kind="stable")
-    starts = np.cumsum(root_sizes) - root_sizes
+    return groups
+
+
+def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """The indices of each distinct value of the nonnegative integer
+    ``labels`` as ``(ngroups, s)`` arrays, one per group size s, sizes
+    ascending; each row ascends, and the rows of one array follow their
+    label values."""
+    sizes = np.bincount(labels)
+    group_sizes = sizes[sizes > 0]
+    # a stable sort keeps each group's indices ascending
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(group_sizes) - group_sizes
     # the distinct sizes, ascending; np.unique would import numpy.ma on its
     # first call, 16 ms and 1.5 MB in a fresh process
-    return [members[starts[root_sizes == s][:, None] + np.arange(s)]
-            for s in np.flatnonzero(np.bincount(root_sizes))]
+    return [members[starts[group_sizes == s][:, None] + np.arange(s)]
+            for s in np.flatnonzero(np.bincount(group_sizes))]
 
 
 def _spectrum(m: np.ndarray, vectors: bool):

@@ -123,27 +123,33 @@ def _subset_ranks(subsets: np.ndarray, d: int) -> np.ndarray:
     return comb(d, t) - 1 - binom[reflected, np.arange(t)].sum(axis=-1)
 
 
-def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
-    """0/1 adjacency matrix over the C(v,k) subsets, lexicographic order."""
+def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP,
+                     cap: int = DEFAULT_DIM_CAP) -> Operator:
+    """0/1 adjacency matrix over the C(v,k) subsets, lexicographic order.
+
+    The vertex count is checked against ``enum_cap`` and, as the matrix
+    dimension, against ``cap`` before any matrix is allocated.
+    """
     count = comb(kp.v, kp.k)
     if count > enum_cap:
         raise EnumerationTooLarge(f"{count} vertices exceeds cap {enum_cap}")
+    shape = RegisterShape((count,)).check_cap(cap)
     out = (_subset_overlaps(kp.v, kp.k) == 0).astype(float)
-    return Operator(RegisterShape((count,)), out)
+    return Operator(shape, out)
 
 
 def _kneser_formula(v: int, k: int) -> float:
     return 2**k * prod(range(v - 1, v - 2 * k, -2)) / factorial(k)
 
 
-def kneser_one_norm(kp: KneserParams,
-                    enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[float, float]:
+def kneser_one_norm(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP,
+                    cap: int = DEFAULT_DIM_CAP) -> tuple[float, float]:
     """(sum of absolute adjacency eigenvalues, closed-form value).
 
     The closed form 2^k (v-1)(v-3)...(v-2k+1) / k! is stated for v >= 2k+1;
     at v = 2k it degenerates to the perfect-matching count and still agrees.
     """
-    exact = trace_norm(kneser_adjacency(kp, enum_cap))
+    exact = trace_norm(kneser_adjacency(kp, enum_cap, cap))
     return exact, _kneser_formula(kp.v, kp.k)
 
 
@@ -306,7 +312,7 @@ def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
     middle = Fraction(0)
     factorial_bound = Fraction(0)
     for s in range(t):
-        norm, _ = kneser_one_norm(KneserParams(d - 2 * s, t - s), enum_cap)
+        norm, _ = kneser_one_norm(KneserParams(d - 2 * s, t - s), enum_cap, cap)
         kneser_sum += comb(d, s) * comb(d - s, s) * norm
         middle += Fraction(2 ** (t - s) * (factorial(t) // factorial(s)) ** 2,
                            factorial(t - s) * prod(range(d - 2 * s, d - 2 * t, -2)))

@@ -3,13 +3,16 @@
 The generator family applies a diagonal phase ``(-1)^<k, prefix(y)>`` to the
 amplitudes of an n-qubit state, with the key ``k`` read against the leading
 bits of each basis label.  Because the generators are diagonal with +-1
-entries, conjugating an operator ``M`` by the generator is the Hadamard
-product of ``M`` with a +-1 phase-profile outer product.  Averaged over
-uniform keys, that outer product becomes the 0/1 label-equality mask
+entries, conjugating an operator ``M`` by the generator multiplies its
+entry (r, s) by the phase of r times the phase of s.  Averaged over
+uniform keys, that product becomes the 0/1 label agreement
 ``[label(r) == label(s)]`` (label dephasing): the label of a flat index is
 the XOR of the keyed registers' prefixes, one label per independent key
-block.  Every key average here is that mask, exact over the whole key
-space; nothing is sampled.
+block.  Every key average here is that agreement, exact over the whole key
+space; nothing is sampled.  A Haar moment is zero outside the index pairs
+of its type classes, so the keyed state reads the moment only there and
+keeps the pairs whose labels all agree, and the ideal state is scattered
+from its moments' nonzeros; neither builds a D x D mask or product.
 
 Hybrid density matrices follow the register layout: generator-output copies
 first (in query order, with multiplicities), shared-state copies last.
@@ -34,6 +37,7 @@ from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
     TypeVector,
+    _type_classes,
     haar_moment,
     is_l_fold_prefix_collision_free,
     type_state,
@@ -182,19 +186,27 @@ def _phases(xp: np.ndarray, key: int) -> np.ndarray:
     return 1.0 - 2.0 * _parity(xp & key)
 
 
-def _label_mask(d: int, total: int, suffix_shift: int, charges) -> np.ndarray:
-    """Uniform key average of the +-1 phase outer products, as a 0/1 mask.
+def _labels_agree(d: int, total: int, suffix_shift: int, charges, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Uniform key average of the +-1 phase products at the index pairs
+    (rows, cols), which broadcast against each other, as 0/1.
 
     Each entry of ``charges`` lists the registers read against one
     independent uniform key block; its label is their prefix XOR.  The
     average of (-1)^<k, label(r) ^ label(s)> over k is [label(r) == label(s)],
-    so the mask is 1 exactly where every label agrees.
+    so the average is 1 exactly where every label agrees.
     """
-    mask = np.ones((d**total,) * 2, dtype=bool)
+    agree = np.ones(np.broadcast_shapes(rows.shape, cols.shape), dtype=bool)
     for regs in charges:
         label = _prefix_xor_profile(d, suffix_shift, regs, total)
-        mask &= np.equal.outer(label, label)
-    return mask
+        agree &= label[rows] == label[cols]
+    return agree
+
+
+def _label_mask(d: int, total: int, suffix_shift: int, charges) -> np.ndarray:
+    """:func:`_labels_agree` at every index pair, a dense 0/1 mask."""
+    idx = np.arange(d**total)
+    return _labels_agree(d, total, suffix_shift, charges, idx[:, None], idx)
 
 
 def _query_charges(blocks, queries) -> list[list[int]]:
@@ -359,23 +371,48 @@ class HybridResult:
 def _keyed_state(d: int, total: int, suffix_shift: int, charges,
                  cap: int, enum_cap: int) -> Operator:
     """Keyed copies plus shared copies, averaged over the whole key space:
-    the total-copy Haar moment dephased by the charges' label mask, a real
-    operator like the moment."""
-    moment = haar_moment(d, total, cap, enum_cap)
-    mask = _label_mask(d, total, suffix_shift, charges)
-    return Operator(moment.shape, moment.values * mask)
+    the total-copy Haar moment dephased by the charges' labels, a real
+    operator like the moment.
+
+    The moment is zero outside its type classes, so only the index pairs
+    of each class are read, and those whose labels all agree are
+    scattered into a zero matrix.
+    """
+    moment = haar_moment(d, total, cap, enum_cap).values
+    out = np.zeros((d**total,) * 2)
+    for idx in _type_classes(d, total, cap, enum_cap):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        agree = _labels_agree(d, total, suffix_shift, charges, rows, cols)
+        rows, cols = (pairs[agree] for pairs in np.broadcast_arrays(rows, cols))
+        out[rows, cols] = moment[rows, cols]
+    # the moment's complex128 copy goes before the keyed state's is made
+    del moment
+    return Operator(RegisterShape((d,) * total), out)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
     """One independent Haar moment per register group, in register order:
-    the Kronecker product of the moments, a real operator."""
-    entries = np.ones((1, 1))
+    the Kronecker product of the moments, a real operator.
+
+    The product is scattered from the moments' nonzeros: the entry at the
+    combined row and column is their product, taken left to right as
+    ``np.kron`` takes it, and every other entry is zero.
+    """
+    rows = cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1)
+    dim = 1
     order: list[int] = []
     for regs in groups:
         if len(regs):
-            entries = np.kron(entries,
-                              haar_moment(d, len(regs), cap, enum_cap).values)
-            order.extend(int(r) for r in regs)
+            moment = haar_moment(d, len(regs), cap, enum_cap).values
+            r, c = np.nonzero(moment)
+            rows = (rows[:, None] * len(moment) + r).ravel()
+            cols = (cols[:, None] * len(moment) + c).ravel()
+            vals = (vals[:, None] * moment[r, c]).ravel()
+            dim *= len(moment)
+            order.extend(int(reg) for reg in regs)
+    entries = np.zeros((dim, dim))
+    entries[rows, cols] = vals
     grouped = Operator(RegisterShape((d,) * len(order)), entries)
     if order == sorted(order):
         return grouped

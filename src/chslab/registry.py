@@ -223,6 +223,7 @@ def _exp_prfs_type(params, seed, caps, rec: _Recorder):
 def _exp_bipartition(params, seed, caps, rec: _Recorder):
     d, t, x = params["d"], params["t"], params["x"]
     T = TypeVector.from_elements(d, tuple(range(t)))
+    RegisterShape((d,) * t).check_cap(caps.dim)
     split = ts.type_bipartition(T, x)
     rebuilt = np.zeros(d**t, dtype=np.complex128)
     for left, right in split.pairs:
@@ -237,9 +238,9 @@ def _exp_bipartition(params, seed, caps, rec: _Recorder):
 
 def _exp_kneser(params, seed, caps, rec: _Recorder):
     v, k = params["v"], params["k"]
-    exact, formula = lc.kneser_one_norm(lc.KneserParams(v, k), caps.enum)
+    exact, formula = lc.kneser_one_norm(lc.KneserParams(v, k), caps.enum, caps.dim)
     rec.close("one-norm-vs-formula", exact, formula, EXACT, "kneser", 1e-8)
-    adj = lc.kneser_adjacency(lc.KneserParams(v, k), caps.enum)
+    adj = lc.kneser_adjacency(lc.KneserParams(v, k), caps.enum, caps.dim)
     degrees = adj.values.sum(axis=1)
     rec.close("regular-degree", float(degrees.max()), comb(v - k, k), EXACT,
               "degree", 0.0)

@@ -9,7 +9,12 @@ uniform type reproduces the exact t-th moment of a Haar-random state.
 
 Types are stored sparsely (index -> multiplicity); full vectors are only
 materialised by :func:`type_state`.  The canonical ordering of types is
-lexicographic on the sorted element tuple.
+lexicographic on the sorted element tuple.  The flat indices of
+``(C^d)^(x)t`` fall into one class per type, the arrangements of its
+multiset (:func:`_type_classes`).  The symmetric projector and the Haar
+moment are zero outside those classes' index pairs, so both are scattered
+into a zero matrix, one value per class size: a 1024-square moment has
+2016 nonzero entries at (d, t) = (32, 2).
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
 tests arrays of element rows at once, and one sampler of uniform types,
@@ -35,7 +40,7 @@ from .errors import (
     NotCollisionFree,
     ParameterError,
 )
-from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector
+from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, _label_groups
 from .rng import stream_rng
 
 __all__ = [
@@ -193,17 +198,31 @@ def type_state(T: TypeVector, cap: int = DEFAULT_DIM_CAP) -> StateVector:
     return StateVector(shape, amps)
 
 
-def _type_class_matrix(d: int, t: int, cap: int, enum_cap: int) -> np.ndarray:
-    """The float64 matrix of :func:`sym_projector`: 1/|class| at (r, s)
-    when the basis labels r and s are arrangements of the same type."""
-    _type_rows(d, t, enum_cap)  # d, t and the type count against enum_cap
+def _type_classes(d: int, t: int, cap: int, enum_cap: int) -> list[np.ndarray]:
+    """The flat indices of (C^d)^(x)t grouped by type, one class per type:
+    ``(nclasses, s)`` arrays, one per class size s, each row the ascending
+    flat indices of the arrangements of one type.
+
+    d, t and the type count are checked against ``enum_cap`` and the flat
+    dimension against ``cap`` before any index is made.
+    """
+    _type_rows(d, t, enum_cap)
     dim = RegisterShape((d,) * t).check_cap(cap).total
     # a type's label is its sorted digit tuple read in base d
     powers = d ** np.arange(t, dtype=np.int64)
     digits = np.sort(np.arange(dim, dtype=np.int64)[:, None] // powers % d, axis=1)
-    label = digits @ powers
-    class_size = np.bincount(label, minlength=dim)[label]
-    return np.equal.outer(label, label) / class_size[:, None]
+    return _label_groups(digits @ powers)
+
+
+def _class_scatter(d: int, t: int, cap: int, enum_cap: int, divisor: int) -> np.ndarray:
+    """The float64 matrix with (1/|class|)/divisor at (r, s) when the basis
+    labels r and s are arrangements of the same type, 0 elsewhere: one
+    scatter over each class's |class|^2 index pairs into a zero matrix."""
+    classes = _type_classes(d, t, cap, enum_cap)
+    out = np.zeros((d**t,) * 2)
+    for idx in classes:
+        out[idx[:, :, None], idx[:, None, :]] = 1.0 / idx.shape[1] / divisor
+    return out
 
 
 def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
@@ -212,9 +231,9 @@ def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
     Its entry at (r, s) is 1/|class| when the basis labels r and s are
     arrangements of the same type and 0 otherwise: the sum of |T><T| over
-    types, built from the sorted digits of each flat index.
+    types, scattered over the index pairs of each type class.
     """
-    return Operator(RegisterShape((d,) * t), _type_class_matrix(d, t, cap, enum_cap))
+    return Operator(RegisterShape((d,) * t), _class_scatter(d, t, cap, enum_cap, 1))
 
 
 def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Operator:
@@ -236,10 +255,10 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
     """Exact t-th moment of the projector onto a Haar-random state in C^d:
-    the type-class projector :func:`sym_projector` over C(d+t-1, t), divided
-    in float64 before the one complex128 copy is made."""
-    moment = _type_class_matrix(d, t, cap, enum_cap)
-    moment /= comb(d + t - 1, t)
+    the type-class projector :func:`sym_projector` over C(d+t-1, t), each
+    class's value (1/|class|)/C(d+t-1, t) divided in float64 and scattered
+    before the one complex128 copy is made."""
+    moment = _class_scatter(d, t, cap, enum_cap, comb(d + t - 1, t))
     return Operator(RegisterShape((d,) * t), moment)
 
 
@@ -326,25 +345,43 @@ class GoodTypeProbability:
     trials: int
 
 
+def _good_count(p: PrefixParams, count: int) -> int:
+    """How many of the ``count`` types of total t pass the fold predicate.
+
+    When ell = t there is one fold, so every type passes.  When ell < t,
+    two elements with equal prefixes can be swapped between two ell-subsets
+    that share their XOR, so a good type has t distinct prefixes; the
+    predicate reads only the prefixes, and each passing t-set of prefixes
+    is good with any of the 2^(m t) suffix choices.  Only the C(2^n, t)
+    prefix sets go through :func:`_fold_good`, ``_CHUNK`` rows at a time.
+    """
+    if p.ell == p.t:
+        return count
+    sets = comb(2**p.n, p.t)
+    prefixes = itertools.combinations(range(2**p.n), p.t)
+    passing = 0
+    for first in range(0, sets, _CHUNK):
+        rows = min(_CHUNK, sets - first)
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(prefixes, rows)),
+                            dtype=np.int64, count=rows * p.t).reshape(rows, p.t)
+        passing += int(_fold_good(chunk, 0, p.ell).sum())
+    return passing * 2 ** (p.m * p.t)
+
+
 def prob_good_type(p: PrefixParams, trials: int = 0, seed: int = 0, stream: int = 0,
                    enum_cap: int = DEFAULT_ENUM_CAP) -> GoodTypeProbability:
     """Probability that a uniform type of total t passes the fold predicate.
 
-    The exact branch counts the passing types over all of them (raises
-    EnumerationTooLarge past the cap).  When ``trials`` > 0 a Monte Carlo
-    estimate over uniform types drawn by the Polya urn
-    (:func:`_urn_outcomes`) is attached, with its binomial standard error.
-    Both branches feed the predicate ``_CHUNK`` rows at a time.
+    The exact branch counts the passing types (:func:`_good_count`) over
+    all C(2^(n+m)+t-1, t) of them; that count is checked against
+    ``enum_cap`` first and raises EnumerationTooLarge past it.  When
+    ``trials`` > 0 a Monte Carlo estimate over uniform types drawn by the
+    Polya urn (:func:`_urn_outcomes`) is attached, with its binomial
+    standard error; it feeds the predicate ``_CHUNK`` rows at a time.
     """
     d, t = p.alphabet_dim, p.t
-    count, types = _type_rows(d, t, enum_cap)
-    good = 0
-    for first in range(0, count, _CHUNK):
-        rows = min(_CHUNK, count - first)
-        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(types, rows)),
-                            dtype=np.int64, count=rows * t).reshape(rows, t)
-        good += int(_fold_good(chunk, p.m, p.ell).sum())
-    exact = Fraction(good, count)
+    count, _ = _type_rows(d, t, enum_cap)
+    exact = Fraction(_good_count(p, count), count)
     if trials <= 0:
         return GoodTypeProbability(exact, None, None, 0)
     rng = stream_rng(seed, stream)

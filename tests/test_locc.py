@@ -79,6 +79,20 @@ class TestKneser:
         with pytest.raises(ParameterError):
             KneserParams(3, 2)
 
+    def test_dimension_cap_before_any_matrix(self, monkeypatch):
+        # C(200, 1) = 200 vertices pass the enumeration cap; the overlap
+        # matrix must not be built when they do not pass the dimension cap
+        def refuse(v, k):
+            raise AssertionError("overlap matrix built past the cap")
+
+        monkeypatch.setattr(locc, "_subset_overlaps", refuse)
+        with pytest.raises(DimensionOverflow):
+            kneser_adjacency(KneserParams(200, 1), cap=199)
+        with pytest.raises(DimensionOverflow):
+            kneser_one_norm(KneserParams(200, 1), cap=199)
+        monkeypatch.undo()
+        assert kneser_adjacency(KneserParams(200, 1), cap=200).dim == 200
+
     def test_adjacency_matches_set_loop(self):
         # oracle: pairwise set disjointness over the lexicographic subsets
         for v in range(2, 13):

@@ -3,6 +3,7 @@ distances, the rank distinguisher, and the inverse-root overlap bound."""
 
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -16,7 +17,8 @@ from chslab.errors import (
     ParameterError,
     PreconditionViolated,
 )
-from chslab.linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, pinv_sqrt
+from chslab.linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
+    permute_registers, pinv_sqrt
 from chslab.pseudo import (
     PrfsInput,
     PrfsKey,
@@ -32,7 +34,10 @@ from chslab.pseudo import (
     prs_hybrids,
     prs_multikey_hybrids,
     rank_attack,
+    _ideal_state,
     _keyed_state,
+    _prefix_xor_profile,
+    _query_charges,
 )
 from chslab.rng import stream_rng
 from chslab.typespace import (
@@ -402,6 +407,93 @@ class TestKeyLoopOracle:
         res = lemma_prfs_type_check(T, queries, mults, p)
         assert res.discrepancy < 1e-12
         assert res.exact_keys and res.keys_used == 2 ** (2 * len(queries[0]) * n)
+
+
+def dense_keyed(d, total, suffix_shift, charges):
+    """The dense construction the class-pair scatter replaced: the moment
+    times the D x D 0/1 mask of agreeing labels."""
+    moment = haar_moment(d, total)
+    mask = np.ones((d**total,) * 2, dtype=bool)
+    for regs in charges:
+        label = _prefix_xor_profile(d, suffix_shift, regs, total)
+        mask &= np.equal.outer(label, label)
+    return Operator(moment.shape, moment.values * mask)
+
+
+def dense_ideal(d, groups):
+    """The dense construction the nonzero scatter replaced: np.kron of the
+    group moments, then the register permutation."""
+    entries = np.ones((1, 1))
+    order = []
+    for regs in groups:
+        entries = np.kron(entries, haar_moment(d, len(regs)).values)
+        order.extend(regs)
+    grouped = Operator(RegisterShape((d,) * len(order)), entries)
+    if order == sorted(order):
+        return grouped.values
+    return permute_registers(grouped, np.argsort(order)).values
+
+
+def prfs_charges(queries, mults):
+    offsets = np.cumsum((0,) + tuple(mults))
+    blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(mults))]
+    return _query_charges(blocks, [PrfsInput(q) for q in queries])
+
+
+class TestDenseBuildOracle:
+    """The scattered keyed and ideal states equal the dense builds bit for bit."""
+
+    @pytest.mark.parametrize("d,total,shift,charges", [
+        (32, 2, 0, [range(1)]),                 # D = 1024, prs lam = n = 5
+        (4, 5, 0, [range(2)]),                  # D = 1024, prs lam = n = 2, ell = 2
+        (8, 2, 0, [[0], [1]]),                  # two independent keys
+        (4, 3, 1, [range(2)]),                  # a key shorter than the state
+        (8, 3, 1, prfs_charges([(0,), (1,)], (1, 1))),
+        (4, 4, 1, prfs_charges([(0, 1), (1, 1)], (2, 1))),
+        (4, 4, 0, prfs_charges([(0, 1), (1, 0), (0, 1)], (1, 1, 1))),
+        (3, 3, 0, []),                          # no key: the moment itself
+    ])
+    def test_keyed_state(self, d, total, shift, charges):
+        keyed = _keyed_state(d, total, shift, charges, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
+        assert keyed.real
+        assert np.array_equal(keyed.values, dense_keyed(d, total, shift, charges).values)
+
+    @pytest.mark.parametrize("d,groups", [
+        (32, [[0], [1]]),                       # D = 1024
+        (4, [[0, 1], [2, 3, 4]]),               # D = 1024
+        (3, [[0], [1, 2], [3]]),                # three factors, left to right
+        (4, [[0, 2], [1], [3]]),                # repeated queries: permuted
+        (2, [[1, 3], [0, 4], [2]]),
+        (5, [[0, 1]]),
+    ])
+    def test_ideal_state(self, d, groups):
+        ideal = _ideal_state(d, groups, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
+        assert ideal.real
+        assert np.array_equal(ideal.values, dense_ideal(d, groups))
+
+    def test_repeated_query_hybrid_uses_the_permuted_ideal(self):
+        params = PseudoParams(1, 2, 3, 1, (1, 1, 1))
+        res = prfs_hybrids(params, [(0,), (1,), (0,)])
+        assert np.array_equal(res.ideal.values, dense_ideal(4, [[0, 2], [1], [3]]))
+        assert np.array_equal(res.keyed.values, dense_keyed(
+            4, 4, 1, prfs_charges([(0,), (1,), (0,)], (1, 1, 1))).values)
+
+    def test_keyed_peak_is_below_the_dense_build(self):
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        args = (32, 2, 0, [range(1)])
+        scattered = peak(lambda: _keyed_state(*args, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP))
+        dense = peak(lambda: dense_keyed(*args))
+        # no D x D mask or product, and the moment's complex copy is gone
+        # before the keyed state's is made: at least one 1024-square
+        # float64 array (8 MiB) less
+        assert scattered < dense - 8 * 1024**2
 
 
 class TestPrsHybrids:

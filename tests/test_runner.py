@@ -145,6 +145,12 @@ class TestRegistry:
         assert [c.name for c in report.checks] == ["error-DimensionOverflow"]
         assert not report.passed
 
+    def test_kneser_past_the_dimension_cap_is_an_error_row(self):
+        # 200 vertices pass the enumeration cap, not a dimension cap of 100
+        report = run(ExperimentConfig("kneser", {"v": 200, "k": 1}, caps=Caps(dim=100)))
+        assert [c.name for c in report.checks] == ["error-DimensionOverflow"]
+        assert not report.passed
+
     @pytest.mark.parametrize("name,params,error", [
         # the urn's last draw bound d + 2t - 1 = 2^63 + 1 does not fit int64
         ("locc-advantage", {"d": 2**63}, "error-ParameterError"),
@@ -153,6 +159,8 @@ class TestRegistry:
         ("commit-fidelity", {"n": 62}, "error-DimensionOverflow"),
         ("commit-binding", {"n": 62}, "error-DimensionOverflow"),
         ("haar-overlap-mc", {"d": 2**62}, "error-DimensionOverflow"),
+        # (2^40)^3 amplitudes for the rebuilt type state
+        ("bipartition", {"d": 2**40}, "error-DimensionOverflow"),
     ])
     def test_out_of_range_size_is_an_error_row(self, name, params, error):
         # each of these used to crash run() with numpy's ValueError

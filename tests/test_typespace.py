@@ -28,7 +28,9 @@ from chslab.typespace import (
     sym_projector,
     type_bipartition,
     type_state,
+    _flat_index,
     _fold_good,
+    _type_classes,
     _urn_draws,
     _urn_outcomes,
 )
@@ -46,6 +48,26 @@ def fold_good_oracle(elements, m, ell):
             return False
         seen.add(x)
     return True
+
+
+def dense_class_matrix(d, t):
+    """The dense construction the class scatter replaced: 1/|class| wherever
+    the sorted-digit labels of row and column are equal, from a D x D
+    comparison and a D x D division."""
+    dim = d**t
+    powers = d ** np.arange(t, dtype=np.int64)
+    digits = np.sort(np.arange(dim, dtype=np.int64)[:, None] // powers % d, axis=1)
+    label = digits @ powers
+    class_size = np.bincount(label, minlength=dim)[label]
+    return np.equal.outer(label, label) / class_size[:, None]
+
+
+def good_count_by_type_walk(p):
+    """The exact branch the prefix-set count replaced: every type of total
+    t through the fold predicate."""
+    rows = np.array(list(itertools.combinations_with_replacement(
+        range(p.alphabet_dim), p.t)), dtype=np.int64).reshape(-1, p.t)
+    return int(_fold_good(rows, p.m, p.ell).sum()), len(rows)
 
 
 class TestTypeVector:
@@ -140,6 +162,29 @@ class TestSymProjector:
     def test_matches_permutation_average(self, d, t):
         assert np.abs(sym_projector(d, t).entries
                       - permutation_symmetrizer(d, t).entries).max() < 1e-12
+
+
+class TestTypeClasses:
+    @pytest.mark.parametrize("d,t", [(2, 1), (3, 3), (4, 2), (2, 4)])
+    def test_one_class_per_type(self, d, t):
+        # oracle: the flat indices of each type's arrangements
+        expected = sorted(tuple(sorted(_flat_index(a, d) for a in arrangements(T.elements())))
+                          for T in enumerate_types(d, t))
+        classes = _type_classes(d, t, 10**6, 10**6)
+        assert sorted(tuple(row) for idx in classes for row in idx.tolist()) == expected
+        sizes = [idx.shape[1] for idx in classes]
+        assert sizes == sorted(set(sizes))
+
+    @pytest.mark.parametrize("d,t", [(4, 5), (8, 3), (3, 4), (2, 1), (32, 2), (3, 0)])
+    def test_scatter_is_the_dense_build_bit_for_bit(self, d, t):
+        dense = dense_class_matrix(d, t)
+        assert np.array_equal(sym_projector(d, t).values, dense)
+        dense /= comb(d + t - 1, t)
+        assert np.array_equal(haar_moment(d, t).values, dense)
+
+    def test_moment_nonzeros_are_the_class_pairs(self):
+        # 32 singletons and 496 pairs: 32 + 496 * 4 nonzero entries
+        assert np.count_nonzero(haar_moment(32, 2).values) == 2016
 
 
 class TestHaarMoment:
@@ -300,6 +345,16 @@ class TestProbGoodType:
         # with a free suffix bit each: 4 * 2^3 = 32
         assert prob_good_type(PrefixParams(2, 1, 1, 3),
                               enum_cap=120).exact == Fraction(32, 120)
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(3)])
+    def test_prefix_sets_match_the_type_walk(self, n, m):
+        for t in range(1, 5):
+            if comb(2 ** (n + m) + t - 1, t) > 3 * 10**5:
+                continue
+            for ell in range(1, t + 1):
+                p = PrefixParams(n, m, ell, t)
+                good, count = good_count_by_type_walk(p)
+                assert prob_good_type(p).exact == Fraction(good, count), (n, m, ell, t)
 
     def test_monotone_in_prefix_length(self):
         values = [prob_good_type(PrefixParams(n, 0, 1, 2)).exact
