@@ -411,14 +411,23 @@ def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL):
 
 
 def fidelity(a: Operator, b: Operator) -> float:
-    """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
+    """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2.
+
+    The middle matrix is formed on a's support only, the k eigenvectors V
+    whose eigenvalues L exceed ``RANK_TOL`` times the largest, as the k x k
+    matrix sqrt(L) V^H b V sqrt(L); it has the nonzero spectrum of
+    sqrt(a) b sqrt(a).  Rounding noise of order eps on a's null space
+    would otherwise enter F as sqrt(eps), about 1e-8 on a rank-deficient a.
+    """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
     avals, avecs = _psd_eigh(a.values)
+    support = avals > RANK_TOL * avals.max()
+    avals, avecs = avals[support], avecs[:, support]
     b_values = _real_if_exact(b.values)
     _require_psd(_eigvalsh(b_values), PSD_TOL)  # validate the second argument too
-    sqrt_a = (avecs * np.sqrt(avals)) @ avecs.conj().T
-    mid = sqrt_a @ b_values @ sqrt_a
+    root = avecs * np.sqrt(avals)
+    mid = root.conj().T @ b_values @ root
     mid = 0.5 * (mid + mid.conj().T)
     mvals = np.clip(_eigvalsh(mid), 0.0, None)
     return float(np.sqrt(mvals).sum() ** 2)

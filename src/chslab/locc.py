@@ -11,7 +11,10 @@ process.  The draws come from ``typespace._urn_draws``, one exact
 bounded-integer call per draw, the primitive the good-type sampler shares.
 The tester reads the raw draws: a trial is collision-free exactly when
 every draw is fresh and the fresh outcomes are distinct, so it never
-resolves repeats into outcomes and never sorts.  The upper bound goes
+resolves repeats into outcomes and never sorts.  Each draw is one
+contiguous vector over the block's trials, and the test is a pairwise
+``!=`` scan of those vectors; the shared draws are tested once for both
+branches.  The upper bound goes
 through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
 is computed exactly in the basis of t-subset pairs (a, b), where it is block
@@ -169,15 +172,18 @@ def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
     return (np.diff(srt, axis=1) != 0).all(axis=1)
 
 
-def _fresh_and_distinct(ks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per column of raw urn draws ``ks`` (one row per draw): True iff no
-    draw repeats an earlier one and the fresh outcomes are pairwise
-    distinct.  Draw j of an urn repeats when k < j and is otherwise the
-    fresh outcome k - j, so ``offsets`` holds each row's j."""
-    fresh = ks - offsets[:, None]
-    ok = (fresh >= 0).all(axis=0)
-    for j in range(1, len(fresh)):
-        ok &= (fresh[:j] != fresh[j]).all(axis=0)
+def _fresh_and_distinct(fresh: list[np.ndarray], ok: np.ndarray,
+                        first: int = 0) -> np.ndarray:
+    """AND into ``ok``, per entry of the draw vectors ``fresh`` (vector j
+    holds each trial's urn draw j minus j, so a repeat of an earlier draw
+    is negative and a fresh outcome is itself): every vector from
+    ``first`` on is fresh and differs from every vector before it.  Each
+    test is one ``!=`` scan of two contiguous vectors; ``ok`` is returned.
+    """
+    for j in range(first, len(fresh)):
+        ok &= fresh[j] >= 0
+        for i in range(j):
+            ok &= fresh[i] != fresh[j]
     return ok
 
 
@@ -188,15 +194,22 @@ def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
     The trials are paired: the shared-state branch measures 2t copies of
     one state (urn A), and the independent branch combines the first t of
     those outcomes with t outcomes of a second state (urn B).  Both read
-    the raw draws: a trial is collision-free exactly when every draw is
-    fresh and the fresh outcomes are distinct, so no outcome is resolved.
+    the raw draws, one contiguous vector per draw with its index
+    subtracted in place: a trial is collision-free exactly when every draw
+    is fresh and the fresh outcomes are distinct, so no outcome is
+    resolved.  A's first t draws are tested once, and that mask is
+    extended by A's draws t..2t-1 for the shared branch and by B's draws
+    for the independent one.
     """
     rng = stream_rng(seed, (stream, block))
     draws_a = _urn_draws(rows, d, 2 * t, rng)
     draws_b = _urn_draws(rows, d, t, rng)
-    hits_identical = _fresh_and_distinct(draws_a, np.arange(2 * t))
-    hits_independent = _fresh_and_distinct(
-        np.concatenate([draws_a[:t], draws_b]), np.tile(np.arange(t), 2))
+    draws_a -= np.arange(2 * t)[:, None]
+    draws_b -= np.arange(t)[:, None]
+    fresh_a, fresh_b = list(draws_a), list(draws_b)
+    first = _fresh_and_distinct(fresh_a[:t], np.ones(rows, dtype=bool))
+    hits_identical = _fresh_and_distinct(fresh_a, first.copy(), t)
+    hits_independent = _fresh_and_distinct(fresh_a[:t] + fresh_b, first, t)
     return int(hits_identical.sum()), int(hits_independent.sum())
 
 

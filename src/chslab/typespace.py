@@ -17,7 +17,8 @@ into a zero matrix, one value per class size: a 1024-square moment has
 2016 nonzero entries at (d, t) = (32, 2).
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
-tests arrays of element rows at once, and one sampler of uniform types,
+tests arrays of element rows at once by pairwise scans over one contiguous
+vector per ell-subset prefix XOR, and one sampler of uniform types,
 the Polya urn: t draws from a Dirichlet(1,...,1) outcome law land on each
 multiset with probability t! / (d (d+1) ... (d+t-1)) = 1 / C(d+t-1, t).
 The urn has one draw primitive, :func:`_urn_draws`, one exact
@@ -263,9 +264,16 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
 
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar states as rows of a (count, d) array."""
-    z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """``count`` Haar states as rows of a (count, d) array: all real parts
+    drawn first, then all imaginary parts, through one float64 buffer into
+    one complex128 array, which is normalised in place."""
+    z = np.empty((count, d), dtype=np.complex128)
+    part = rng.standard_normal((count, d))
+    z.real = part
+    z.imag = rng.standard_normal(out=part)
+    # np.linalg.norm's own reduction, so every state matches it bit for bit
+    z /= np.sqrt(np.add.reduce((z.conj() * z).real, axis=1, keepdims=True))
+    return z
 
 
 def sample_haar(d: int, seed: int, stream: int = 0) -> StateVector:
@@ -312,15 +320,23 @@ def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:
     Two subsets drawing equal elements from different positions share a XOR,
     so any repeated element rules the type out whenever ell < t; this is the
     reading under which the fold condition implies plain collision-freeness.
-    The answer does not depend on the order of a row.
+    The answer does not depend on the order of a row.  The prefixes are
+    transposed into one contiguous vector per position, each fold is the
+    XOR of its ell position vectors, and the verdict is the AND of the
+    pairwise ``!=`` scans over the folds.
     """
-    prefixes = rows >> m
-    subsets = list(itertools.combinations(range(rows.shape[1]), ell))
-    folds = np.empty((rows.shape[0], len(subsets)), dtype=rows.dtype)
-    for j, combo in enumerate(subsets):
-        folds[:, j] = np.bitwise_xor.reduce(prefixes[:, combo], axis=1)
-    folds.sort(axis=1)
-    return (np.diff(folds, axis=1) != 0).all(axis=1)
+    prefixes = np.right_shift(rows.T, m, order="C")
+    folds = []
+    for combo in itertools.combinations(range(len(prefixes)), ell):
+        fold = prefixes[combo[0]].copy()
+        for i in combo[1:]:
+            fold ^= prefixes[i]
+        folds.append(fold)
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for j in range(1, len(folds)):
+        for i in range(j):
+            ok &= folds[i] != folds[j]
+    return ok
 
 
 def is_l_fold_prefix_collision_free(T: TypeVector, p: PrefixParams,

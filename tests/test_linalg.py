@@ -318,6 +318,25 @@ class TestFidelity:
             rhs = fidelity(a, b) * fidelity(c, d)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
+    @pytest.mark.parametrize("blocks,size", [(2, 2), (2, 4), (4, 2), (3, 5)])
+    def test_rank_deficient_block_closed_form(self, blocks, size):
+        # a pure state dephased into equal blocks has rank `blocks`, with
+        # weight w_b on block b; against I/d its fidelity is exactly
+        # (sum_b sqrt(w_b))^2 / d.  Taking sqrt over a's whole spectrum put
+        # rounding noise of ~1e-17 on the null space in as ~3e-9.
+        rng = stream_rng(41)
+        d = blocks * size
+        shape = RegisterShape((d,))
+        mask = np.kron(np.eye(blocks), np.ones((size, size)))
+        mixed = Operator(shape, np.eye(d) / d)
+        for _ in range(200):
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            weights = (np.abs(psi) ** 2).reshape(blocks, size).sum(axis=1)
+            a = Operator(shape, np.outer(psi, psi.conj()) * mask)
+            assert fidelity(a, mixed) == pytest.approx(
+                np.sqrt(weights).sum() ** 2 / d, rel=0, abs=1e-14)
+
     def test_not_psd(self):
         bad = Operator(QUBIT, np.diag([1.5, -0.5]))
         good = Operator(QUBIT, np.eye(2) / 2)

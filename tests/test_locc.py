@@ -146,7 +146,18 @@ class TestMonteCarlo:
         assert locc_advantage_mc(lp, stream=3) == first
         assert locc_advantage_mc(lp, stream=4) != first
 
-    @pytest.mark.parametrize("d,t", [(3, 1), (4, 2), (16, 4), (1024, 4)])
+    @pytest.mark.parametrize("d,t,est,stderr", [
+        (4, 1, "0x1.2d916872b0210p-3", "0x1.2eeba68c79eb8p-8"),
+        (16, 4, "0x1.3404ea4a8c155p-5", "0x1.0767ef525ee1ep-9"),
+        (1024, 2, "0x1.13404ea4a8c00p-9", "0x1.042b4a71c202bp-10")])
+    def test_estimate_pinned(self, d, t, est, stderr):
+        # recorded from the sort-free tester before its draws became
+        # per-draw vectors; 20000 trials are two full blocks and a partial
+        got = locc_advantage_mc(LoccParams(d, t, trials=20000, seed=7))
+        assert got == (float.fromhex(est), float.fromhex(stderr))
+
+    @pytest.mark.parametrize("d,t", [(3, 1), (4, 1), (4, 2), (16, 4), (64, 2),
+                                     (1024, 4)])
     def test_block_hits_match_resolved_outcomes(self, d, t):
         # oracle: resolve both urns from the block's generator into outcomes
         # and sort-test every row; the block must count the same trials

@@ -217,6 +217,21 @@ class TestSuiteRun:
         reports = run_suite("lemmas", seed=5)
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("suite_seed", [52, 67, 106, 108])
+    def test_commit_fidelity_at_suite_seeds(self, suite_seed):
+        # `suite all` once failed max-fidelity at these seeds by 1e-9 to
+        # 5.8e-9 over the bound 1/2.  Independent reference: the closed
+        # form (sum_b sqrt(w_b))^2 / d over the block weights of each draw.
+        seed = derive_seed(suite_seed, suite_experiments("all").index("commit-fidelity"))
+        report = run(ExperimentConfig("commit-fidelity", {}, seed))
+        lam, n, draws = (report.params[k] for k in ("lam", "n", "haar_seeds"))
+        closed = max(
+            np.sqrt((np.abs(ts.sample_haar(2**n, seed, stream=s).amplitudes) ** 2)
+                    .reshape(2**lam, -1).sum(axis=1)).sum() ** 2 / 2**n
+            for s in range(draws))
+        assert report.passed
+        assert report.checks[0].value == pytest.approx(closed, rel=0, abs=1e-14)
+
 
 class TestReportFormats:
     def test_json_schema_valid(self):

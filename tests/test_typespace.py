@@ -1,5 +1,6 @@
 """Tests for type combinatorics, symmetric projectors, and Haar moments."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -48,6 +49,19 @@ def fold_good_oracle(elements, m, ell):
             return False
         seen.add(x)
     return True
+
+
+def fold_good_sorted(rows, m, ell):
+    """The sort-based predicate the pairwise scan replaced: every row's
+    ell-subset prefix XORs written into one (N, C(t, ell)) array, sorted
+    per row and checked for repeats."""
+    prefixes = rows >> m
+    subsets = list(itertools.combinations(range(rows.shape[1]), ell))
+    folds = np.empty((rows.shape[0], len(subsets)), dtype=rows.dtype)
+    for j, combo in enumerate(subsets):
+        folds[:, j] = np.bitwise_xor.reduce(prefixes[:, combo], axis=1)
+    folds.sort(axis=1)
+    return (np.diff(folds, axis=1) != 0).all(axis=1)
 
 
 def dense_class_matrix(d, t):
@@ -228,6 +242,14 @@ class TestSampleHaar:
         b = sample_haar(8, seed=257)
         assert abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 < 0.999
 
+    def test_block_pinned(self):
+        # the draws recorded before the block was drawn into one complex
+        # array and normalised in place; every byte must stay the same
+        block = haar_states_block(4, 20000, np.random.Generator(np.random.Philox(7)))
+        assert block.dtype == np.complex128 and block.shape == (20000, 4)
+        assert hashlib.sha256(block.tobytes()).hexdigest() == (
+            "b68262f71b07f4787ad5ff34100a0c762be7d3d106a14be3bf50db0b53ebe0bf")
+
     def test_mean_overlap(self):
         block = haar_states_block(4, 100000, stream_rng(14))
         est = float(np.mean(np.abs(block[:, 0]) ** 2))
@@ -287,6 +309,14 @@ class TestFoldPredicate:
         assert [is_l_fold_prefix_collision_free(T, p) for T in types] == expected
         assert prob_good_type(p).exact == Fraction(sum(expected), len(types))
 
+    @pytest.mark.parametrize("t,ell,bits,m", [(4, 2, 6, 1), (6, 3, 7, 2),
+                                               (8, 2, 9, 1), (8, 4, 10, 3)])
+    def test_matches_sorted_folds_on_random_rows(self, t, ell, bits, m):
+        rows = stream_rng(43, t * 10 + ell).integers(0, 2**bits, size=(4096, t))
+        got = _fold_good(rows, m, ell)
+        assert 0 < got.sum() < len(got)  # both verdicts occur
+        np.testing.assert_array_equal(got, fold_good_sorted(rows, m, ell))
+
     def test_row_order_is_irrelevant(self):
         rows = np.array([[0, 1, 2, 5], [3, 3, 6, 1], [7, 4, 2, 0]], dtype=np.int64)
         assert (_fold_good(rows, 1, 2) == _fold_good(rows[:, ::-1], 1, 2)).all()
@@ -325,6 +355,13 @@ class TestProbGoodType:
     def test_mc_agrees_with_exact(self):
         res = prob_good_type(PrefixParams(2, 0, 1, 2), trials=100000, seed=3)
         assert abs(res.mc_estimate - float(res.exact)) <= 4 * res.mc_stderr
+
+    def test_mc_estimate_pinned(self):
+        # recorded from the sort-based fold predicate; bit for bit
+        res = prob_good_type(PrefixParams(4, 1, 2, 4), trials=100000, seed=7)
+        assert res.exact == Fraction(96, 187)
+        assert res.mc_estimate == float.fromhex("0x1.07d1782d38477p-1")  # 0.51527
+        assert res.mc_stderr == float.fromhex("0x1.9e4aef9a55869p-10")
 
     def test_mc_is_the_urn_rows_through_the_oracle(self):
         # 70000 trials take two 65536-row chunks from one generator
