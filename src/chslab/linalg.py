@@ -93,6 +93,11 @@ _HERM_TILE = 128
 # _block_indices for the measurement
 _BLOCK_MIN_DIM = 64
 
+# eigenvalues at or below this many D*eps times the largest are taken as the
+# eigensolver's rounding noise by fidelity; on null spaces of rank-deficient
+# densities (D = 4 to 1024) that noise stayed below 0.6*D*eps*max
+_NOISE_FLOOR = 4.0
+
 
 @dataclass(frozen=True)
 class RegisterShape:
@@ -410,26 +415,34 @@ def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL):
     return np.clip(vals, 0.0, None), vecs
 
 
+def _above_noise(vals: np.ndarray, dim: int) -> np.ndarray:
+    """Mask of the eigenvalues above ``_NOISE_FLOOR * dim * eps`` times the largest."""
+    return vals > _NOISE_FLOOR * dim * np.finfo(np.float64).eps * vals.max(initial=0.0)
+
+
 def fidelity(a: Operator, b: Operator) -> float:
     """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2.
 
     The middle matrix is formed on a's support only, the k eigenvectors V
-    whose eigenvalues L exceed ``RANK_TOL`` times the largest, as the k x k
-    matrix sqrt(L) V^H b V sqrt(L); it has the nonzero spectrum of
-    sqrt(a) b sqrt(a).  Rounding noise of order eps on a's null space
-    would otherwise enter F as sqrt(eps), about 1e-8 on a rank-deficient a.
+    whose eigenvalues L lie above the eigensolver's rounding noise, as the
+    k x k matrix sqrt(L) V^H b V sqrt(L); it has the nonzero spectrum of
+    sqrt(a) b sqrt(a).  Its own spectrum is cut at the same floor.  Noise of
+    order eps on either null space would otherwise enter F as sqrt(eps),
+    about 1e-8 on a rank-deficient argument.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
+    dim = a.shape.total
     avals, avecs = _psd_eigh(a.values)
-    support = avals > RANK_TOL * avals.max()
+    support = _above_noise(avals, dim)
     avals, avecs = avals[support], avecs[:, support]
     b_values = _real_if_exact(b.values)
     _require_psd(_eigvalsh(b_values), PSD_TOL)  # validate the second argument too
     root = avecs * np.sqrt(avals)
     mid = root.conj().T @ b_values @ root
     mid = 0.5 * (mid + mid.conj().T)
-    mvals = np.clip(_eigvalsh(mid), 0.0, None)
+    mvals = _eigvalsh(mid)
+    mvals = mvals[_above_noise(mvals, dim)]
     return float(np.sqrt(mvals).sum() ** 2)
 
 

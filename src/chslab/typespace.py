@@ -271,8 +271,7 @@ def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarra
     part = rng.standard_normal((count, d))
     z.real = part
     z.imag = rng.standard_normal(out=part)
-    # np.linalg.norm's own reduction, so every state matches it bit for bit
-    z /= np.sqrt(np.add.reduce((z.conj() * z).real, axis=1, keepdims=True))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
 

@@ -322,8 +322,9 @@ class TestFidelity:
     def test_rank_deficient_block_closed_form(self, blocks, size):
         # a pure state dephased into equal blocks has rank `blocks`, with
         # weight w_b on block b; against I/d its fidelity is exactly
-        # (sum_b sqrt(w_b))^2 / d.  Taking sqrt over a's whole spectrum put
-        # rounding noise of ~1e-17 on the null space in as ~3e-9.
+        # (sum_b sqrt(w_b))^2 / d, in either argument order.  Taking sqrt
+        # over a whole spectrum put rounding noise of ~1e-17 on the null
+        # space in as ~3e-9.
         rng = stream_rng(41)
         d = blocks * size
         shape = RegisterShape((d,))
@@ -334,8 +335,19 @@ class TestFidelity:
             psi /= np.linalg.norm(psi)
             weights = (np.abs(psi) ** 2).reshape(blocks, size).sum(axis=1)
             a = Operator(shape, np.outer(psi, psi.conj()) * mask)
-            assert fidelity(a, mixed) == pytest.approx(
-                np.sqrt(weights).sum() ** 2 / d, rel=0, abs=1e-14)
+            closed = np.sqrt(weights).sum() ** 2 / d
+            assert fidelity(a, mixed) == pytest.approx(closed, rel=0, abs=1e-14)
+            assert fidelity(mixed, a) == pytest.approx(closed, rel=0, abs=1e-14)
+
+    def test_small_eigenvalue_kept(self):
+        # 1e-9 is a true eigenvalue, far above rounding noise; it adds
+        # sqrt(1e-9 / 2) to sqrt(F), so F = (sqrt(1 - 1e-9) + sqrt(1e-9))^2 / 2
+        # = 0.5000316..., not 0.4999999995 as when it is dropped
+        a = Operator(QUBIT, np.diag([1 - 1e-9, 1e-9]))
+        mixed = Operator(QUBIT, np.eye(2) / 2)
+        closed = (np.sqrt(1 - 1e-9) + np.sqrt(1e-9)) ** 2 / 2
+        assert fidelity(a, mixed) == pytest.approx(closed, rel=0, abs=1e-14)
+        assert fidelity(mixed, a) == pytest.approx(closed, rel=0, abs=1e-14)
 
     def test_not_psd(self):
         bad = Operator(QUBIT, np.diag([1.5, -0.5]))
