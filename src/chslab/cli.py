@@ -68,10 +68,13 @@ def _parse_param(name: str, text: str, default):
 
 def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
     """Parse a key = value sectioned config file into an ExperimentConfig."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is unknown too
     read = parser.read(path)
     if not read:
         raise ConfigInvalid(f"cannot read config file {path!r}")
+    unknown = sorted(set(parser.sections()) - {"experiment", "params", "caps", "output"})
+    if unknown:
+        raise ConfigInvalid(f"unknown config section [{unknown[0]}]")
     if "experiment" not in parser or "name" not in parser["experiment"]:
         raise ConfigInvalid("config needs an [experiment] section with a name")
     name = parser["experiment"]["name"].strip()
@@ -80,18 +83,13 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
         if "params" in parser else {}
     try:
         seed = int(parser["experiment"].get("seed", "0"))
-        caps = Caps(
-            dim=int(parser["caps"].get("dim", Caps.dim)) if "caps" in parser else Caps.dim,
-            enum=int(parser["caps"].get("enum", Caps.enum)) if "caps" in parser else Caps.enum,
-        )
-        tolerances = {}
-        if "tolerances" in parser:
-            tolerances = {k: float(v) for k, v in parser.items("tolerances")}
+        caps = Caps(int(parser.get("caps", "dim", fallback=Caps.dim)),
+                    int(parser.get("caps", "enum", fallback=Caps.enum)))
     except ValueError as exc:
         raise ConfigInvalid(f"bad number in {path!r}: {exc}") from exc
-    out_path = parser["output"].get("path") if "output" in parser else None
-    fmt = parser["output"].get("format", "json") if "output" in parser else "json"
-    return ExperimentConfig(name, params, seed, caps, tolerances), out_path, fmt
+    out_path = parser.get("output", "path", fallback=None)
+    fmt = parser.get("output", "format", fallback="json")
+    return ExperimentConfig(name, params, seed, caps), out_path, fmt
 
 
 def _summary_table(reports: list[Report]) -> str:

@@ -30,7 +30,7 @@ from .linalg import (
     fidelity,
     partial_trace,
 )
-from .pseudo import _hybrid, _label_mask, _phases
+from .pseudo import _hybrid, _labels_agree, _phases
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, haar_states_block
 
@@ -159,7 +159,8 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     if common.dim != d:
         raise ShapeMismatch(f"common state dimension {common.dim} != 2^n = {d}")
     amps = common.amplitudes
-    rho0 = np.outer(amps, amps.conj()) * _label_mask(d, 1, n - lam, [(0,)])
+    idx = np.arange(d)[:, None]
+    rho0 = np.outer(amps, amps.conj()) * _labels_agree(d, 1, n - lam, [(0,)], idx, idx.T)
     F = fidelity(Operator(shape, rho0), Operator(shape, np.eye(d) / d))
     return F, 2.0 ** -(n - lam)
 

@@ -203,12 +203,6 @@ def _labels_agree(d: int, total: int, suffix_shift: int, charges, rows: np.ndarr
     return agree
 
 
-def _label_mask(d: int, total: int, suffix_shift: int, charges) -> np.ndarray:
-    """:func:`_labels_agree` at every index pair, a dense 0/1 mask."""
-    idx = np.arange(d**total)
-    return _labels_agree(d, total, suffix_shift, charges, idx[:, None], idx)
-
-
 def _query_charges(blocks, queries) -> list[list[int]]:
     """Registers read against each key block of the function-like generator.
 
@@ -346,8 +340,9 @@ def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
     offsets = np.cumsum((0,) + mults)
     blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(queries))]
     psi = type_state(T, cap).amplitudes
-    lhs = np.outer(psi, psi.conj()) * _label_mask(
-        d, total, p.m, _query_charges(blocks, queries))
+    idx = np.arange(d**total)
+    lhs = np.outer(psi, psi.conj()) * _labels_agree(
+        d, total, p.m, _query_charges(blocks, queries), idx[:, None], idx)
 
     rhs = np.zeros_like(lhs)
     for parts, prob in _position_subset_mixture(T.elements(), mults):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chslab import locc as lc
 from chslab import typespace as ts
 from chslab.cli import load_config, main
 from chslab.errors import ConfigInvalid
@@ -120,10 +121,42 @@ class TestRegistry:
         assert by_name["one-norm-vs-formula"].value == pytest.approx(16.0)
         assert by_name["one-norm-vs-formula"].reference == pytest.approx(16.0)
 
-    def test_tolerance_override_can_fail_a_check(self):
-        report = run(ExperimentConfig("kneser", {"v": 5, "k": 2},
-                                      tolerances={"kneser": -1.0}))
+    def test_failing_check_fails_the_report(self):
+        # lams out of order: each distance row passes, the trend row cannot
+        report = run(ExperimentConfig("prs-decay", {"lams": (3, 2)}))
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["trace-distance-lam3"].passed
+        assert not by_name["strictly-decreasing"].passed
+        assert by_name["strictly-decreasing"].value == 0.0
         assert not report.passed
+
+    def test_no_per_run_tolerances(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig("kneser", tolerances={"kneser": -1.0})
+        with pytest.raises(TypeError):
+            run_suite("lemmas", 0, Caps(), {"kneser": -1.0})
+
+    @pytest.mark.parametrize("d,t", [(6, 1), (5, 2)])
+    def test_sandwich_slack_difference_is_the_advantage(self, d, t):
+        report = run(ExperimentConfig("locc-sandwich", {"d": d, "t": t}))
+        row = report.checks[-1]
+        assert row.name == "slack-difference-vs-advantage"
+        assert row.reference == lc.locc_advantage_closed_form(d, t)
+        assert row.passed and report.passed
+
+    def test_sandwich_slack_difference_can_fail(self, monkeypatch):
+        # a wrong slack leaves advantage-vs-surrogate-pieces passing, since
+        # it only grows the right-hand side; the closed-form row catches it
+        true = lc.ppt_vs_haar_bound
+
+        def skewed(*args):
+            res = true(*args)
+            return replace(res, slack_identical=res.slack_identical + 1e-9)
+
+        monkeypatch.setattr(lc, "ppt_vs_haar_bound", skewed)
+        by_name = {c.name: c for c in run(ExperimentConfig("locc-sandwich")).checks}
+        assert by_name["advantage-vs-surrogate-pieces"].passed
+        assert not by_name["slack-difference-vs-advantage"].passed
 
     def test_prs_hybrid_records_bound_and_contracts(self):
         report = run(ExperimentConfig("prs-hybrid",
@@ -230,7 +263,10 @@ class TestSuiteRun:
                     .reshape(2**lam, -1).sum(axis=1)).sum() ** 2 / 2**n
             for s in range(draws))
         assert report.passed
+        assert [c.name for c in report.checks] == ["max-fidelity",
+                                                   "max-gap-to-closed-form"]
         assert report.checks[0].value == pytest.approx(closed, rel=0, abs=1e-14)
+        assert report.checks[1].value <= 1e-14
 
 
 class TestReportFormats:
@@ -385,12 +421,30 @@ name = kneser
     def test_failing_check_exits_one(self, tmp_path):
         cfg = self.write_config(tmp_path, """
 [experiment]
-name = kneser
+name = prs-decay
 
-[tolerances]
-kneser = -1
+[params]
+lams = 3, 2
 """)
-        assert main(["--out", str(tmp_path / "f.json"), "run", cfg]) == 1
+        out = tmp_path / "f.json"
+        assert main(["--out", str(out), "run", cfg]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())[0]["checks"]}
+        assert checks["strictly-decreasing"]["passed"] is False
+
+    @pytest.mark.parametrize("section,line", [
+        ("param", "v = 100"), ("tolerances", "kneser = -1"), ("DEFAULT", "v = 100"),
+    ])
+    def test_unknown_section_exits_two(self, tmp_path, capsys, section, line):
+        # [param] is a typo for [params]; without the check it ran the
+        # defaults {'v': 5, 'k': 2} and exited 0
+        cfg = self.write_config(
+            tmp_path, f"[experiment]\nname = kneser\n\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigInvalid, match=rf"\[{section}\]"):
+            load_config(cfg)
+        out = tmp_path / "u.json"
+        assert main(["--out", str(out), "run", cfg]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_exits_two(self, tmp_path):
         cfg = self.write_config(tmp_path, """

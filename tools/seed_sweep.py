@@ -3,13 +3,13 @@
     python3 tools/seed_sweep.py [--suite all] [--start 0] [--stop 200]
 
 Each suite seed in ``[start, stop)`` runs ``registry.run_suite`` with the
-default caps and tolerances, exactly as ``chslab --seed S suite SUITE``
-does, but without a new process or a report file per seed.  Every failing
-check row is printed as one tab-separated line: experiment, check, suite
-seed, value and reference (``None`` for an error row).  The last line
-counts the seeds and the failing rows; the tool exits 1 when any row
-failed and 0 otherwise.  ``chslab`` is imported from this checkout's
-``src``.
+default caps and the check tolerances fixed in ``registry.py``, exactly as
+``chslab --seed S suite SUITE`` does, but without a new process or a report
+file per seed.  Every failing check row is printed as one tab-separated
+line: experiment, check, suite seed, value and reference (``None`` for an
+error row).  The last line counts the seeds and the failing rows; the tool
+exits 1 when any row failed and 0 otherwise.  ``chslab`` is imported from
+this checkout's ``src``.
 """
 
 from __future__ import annotations
