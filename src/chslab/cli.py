@@ -36,6 +36,10 @@ from .registry import (
 
 OUTDIR_ENV = "CHSLAB_OUTDIR"
 
+# the keys each config section may hold; [params] is checked per parameter
+_CONFIG_KEYS = {"experiment": {"name", "seed"}, "caps": {"dim", "enum"},
+                "output": {"path", "format"}}
+
 
 def _parse_param(name: str, text: str, default):
     """A ``[params]`` value read against its default's shape.
@@ -72,9 +76,13 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None, str]:
     read = parser.read(path)
     if not read:
         raise ConfigInvalid(f"cannot read config file {path!r}")
-    unknown = sorted(set(parser.sections()) - {"experiment", "params", "caps", "output"})
+    unknown = sorted(set(parser.sections()) - {*_CONFIG_KEYS, "params"})
     if unknown:
         raise ConfigInvalid(f"unknown config section [{unknown[0]}]")
+    for section, keys in _CONFIG_KEYS.items():
+        unknown = sorted(set(parser[section]) - keys) if section in parser else []
+        if unknown:
+            raise ConfigInvalid(f"unknown key {unknown[0]!r} in config section [{section}]")
     if "experiment" not in parser or "name" not in parser["experiment"]:
         raise ConfigInvalid("config needs an [experiment] section with a name")
     name = parser["experiment"]["name"].strip()

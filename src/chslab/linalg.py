@@ -1,19 +1,22 @@
 """Dense linear algebra over explicitly shaped register systems.
 
-Operators and states are stored as complex128.  An operator built from a
-real array (a bool, integer or float dtype) is marked ``real``: its
-Hermitian check runs on the float64 array, where |x - y| is the complex
-|(x + 0j) - (y + 0j)| bit for bit, and only then is its one complex128
-copy made.  Code outside this module reads an operator's numbers through
-``Operator.values``: the float64 view ``entries.real`` of a real operator,
-``entries`` otherwise, so how an operator is stored is decided here alone.
-Haar moments, label masks, ideal products and PPT blocks are real in the
-computational basis, so the exact path builds all of them this way, and
-partial trace, partial transpose and register permutation, which reshape
-``values``, keep the mark.  Every operator is Hermitian, checked exactly
-when it is built: the largest |m - m^H| is taken tile by tile, each tile
-on or above the diagonal against the conjugate transpose of its mirror
-tile, so both stay in cache; the maximum is the one-shot
+States are stored as complex128.  An operator built from a real array (a
+bool, integer or float dtype) is marked ``real`` and stores its float64
+array; any other operator stores its complex128 array.  The Hermitian check
+runs on the stored array, where for a real one |x - y| is the complex
+|(x + 0j) - (y + 0j)| bit for bit.  Code outside this module reads an
+operator's numbers through ``Operator.values``: the float64 array of a real
+operator, ``entries`` otherwise, so how an operator is stored is decided
+here alone.  ``Operator.entries`` is always complex128; a real operator
+makes that copy only when ``entries`` is first read, and the copy replaces
+its float64 array, so no library path makes it.  Haar moments, label masks,
+ideal products and PPT blocks are real in the computational basis, so the
+exact path builds all of them this way, and partial trace, partial
+transpose and register permutation, which reshape ``values``, keep the
+mark.  Every operator is Hermitian, checked exactly when it is built: the
+largest |m - m^H| is taken tile by tile, each tile on or above the
+diagonal against the conjugate transpose of its mirror tile, so both stay
+in cache; the maximum is the one-shot
 ``np.abs(m - m.conj().T).max()`` bit for bit, and a NaN or infinite entry
 fails the check.  The spectral step (``trace_norm``, ``trace_distance``,
 ``fidelity``, ``pinv_sqrt``, ``numeric_rank``) is an eigensolve on
@@ -49,7 +52,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import prod
 
 import numpy as np
@@ -158,23 +161,29 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Hermitian matrix with an attached register shape.
+    """Hermitian matrix ``m`` with an attached register shape.
 
-    Entries are always stored as complex128.  ``real`` is derived, never
-    passed: it is True when ``entries`` came in with a bool, integer or
-    float dtype.  :attr:`values` is how the operator's numbers are read.
-    The entries must satisfy max |m - m^H| <= HERM_TOL, checked tile by
-    tile (see :func:`_hermitian_defect`) on the float64 array of a real
-    input, before its complex128 copy is made; a NaN or an infinite entry
-    fails the check.
+    ``real`` is derived, never passed: it is True when ``m`` came in with a
+    bool, integer or float dtype.  A real operator stores its float64 array
+    and any other its complex128 array; an ``m`` already of that dtype is
+    stored without a copy, so its owner must not write to it afterwards.
+    :attr:`values` is how the operator's numbers are read.
+    :attr:`entries` is always complex128: on its first read a real operator
+    makes its complex128 copy, which then replaces the float64 array, so
+    ``values`` reads the copy's real part, the same bytes.  ``m`` must
+    satisfy max |m - m^H| <= HERM_TOL, checked tile by tile (see
+    :func:`_hermitian_defect`) before it is stored; a NaN or an infinite
+    entry fails the check.  Two threads that first read ``entries`` at once
+    may each make the copy; both copies hold the same bytes.
     """
 
     shape: RegisterShape
-    entries: np.ndarray = field(repr=False)
+    m: InitVar[np.ndarray]
     real: bool = field(init=False)
+    _stored: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries)
+    def __post_init__(self, m) -> None:
+        m = np.asarray(m)
         real = m.dtype.kind in "biuf"
         m = m.astype(np.float64 if real else np.complex128, copy=False)
         n = self.shape.total
@@ -183,7 +192,7 @@ class Operator:
         defect = _hermitian_defect(m)
         if not defect <= HERM_TOL:  # NaN compares False
             raise ParameterError(f"not Hermitian: defect {defect:.3e} > {HERM_TOL}")
-        object.__setattr__(self, "entries", m.astype(np.complex128, copy=False))
+        object.__setattr__(self, "_stored", m)
         object.__setattr__(self, "real", real)
 
     @property
@@ -191,12 +200,21 @@ class Operator:
         return self.shape.total
 
     @property
+    def entries(self) -> np.ndarray:
+        """The complex128 matrix, made from a real operator's float64 array
+        on the first read, which it replaces."""
+        if self._stored.dtype != np.complex128:
+            object.__setattr__(self, "_stored", self._stored.astype(np.complex128))
+        return self._stored
+
+    @property
     def values(self) -> np.ndarray:
-        """The float64 view ``entries.real`` of a real operator, else ``entries``."""
-        return self.entries.real if self.real else self.entries
+        """The float64 array of a real operator (the real part of
+        ``entries`` once that was read), else ``entries``."""
+        return self._stored.real if self.real else self._stored
 
     def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        return complex(np.trace(self.values))
 
 
 def _hermitian_defect(m: np.ndarray) -> float:

@@ -380,8 +380,6 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
         agree = _labels_agree(d, total, suffix_shift, charges, rows, cols)
         rows, cols = (pairs[agree] for pairs in np.broadcast_arrays(rows, cols))
         out[rows, cols] = moment[rows, cols]
-    # the moment's complex128 copy goes before the keyed state's is made
-    del moment
     return Operator(RegisterShape((d,) * total), out)
 
 

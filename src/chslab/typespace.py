@@ -257,8 +257,8 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
     """Exact t-th moment of the projector onto a Haar-random state in C^d:
     the type-class projector :func:`sym_projector` over C(d+t-1, t), each
-    class's value (1/|class|)/C(d+t-1, t) divided in float64 and scattered
-    before the one complex128 copy is made."""
+    class's value (1/|class|)/C(d+t-1, t) divided and scattered in
+    float64, a real operator."""
     moment = _class_scatter(d, t, cap, enum_cap, comb(d + t - 1, t))
     return Operator(RegisterShape((d,) * t), moment)
 

@@ -1,13 +1,21 @@
-"""Storage layering: only linalg reads an operator's stored ``entries``.
+"""Storage layering: only linalg may read ``Operator.entries``.
 
 Everything else reads ``Operator.values``, so a change to how operators
-are stored touches linalg alone.
+are stored touches linalg alone, and no library path makes a real
+operator's complex128 copy.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import chslab
+from chslab import commitment as cm
+from chslab import locc as lc
+from chslab import pseudo as ps
+from chslab.linalg import Operator, RegisterShape
+from chslab.registry import run_suite
 
 
 def test_only_linalg_reads_entries():
@@ -18,6 +26,35 @@ def test_only_linalg_reads_entries():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert readers == []
+
+
+def test_no_library_path_promotes_a_real_operator(monkeypatch):
+    # the first read of a real operator's entries makes its complex128
+    # copy; count the reads that find the float64 array still stored
+    promoted = []
+    read_entries = Operator.entries.fget
+
+    def counting(op):
+        if op._stored.dtype != np.complex128:
+            promoted.append(op.shape.dims)
+        return read_entries(op)
+
+    monkeypatch.setattr(Operator, "entries", property(counting))
+    pp = ps.PseudoParams
+    # the exact path at D <= 1024, as the benchmark's exact-hybrids runs it
+    ps.prs_hybrids(pp(5, 5, 1, 1))
+    ps.prs_hybrids(pp(2, 2, 2, 3))
+    ps.prs_multikey_hybrids(pp(3, 3, 1, 1), 2)
+    ps.prfs_hybrids(pp(2, 3, 2, 1, (1, 1)), [(0,), (1,)])
+    cm.hiding_distance(cm.CommitmentParams(2, 3, 2, 1))
+    lc.ppt_diff_norm(10, 2)
+    ps.rank_attack(pp(3, 3, 1, 2))
+    assert all(report.passed for report in run_suite("all", 7))
+    op = Operator(RegisterShape((2,)), np.eye(2))
+    assert op.trace() == 2
+    assert promoted == []
+    op.entries
+    assert promoted == [(2,)]
 
 
 def test_every_check_tolerance_is_a_module_constant():

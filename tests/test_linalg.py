@@ -419,9 +419,10 @@ def real_built(m: Operator) -> Operator:
 
 
 class TestRealOperator:
-    """An operator built from a real array is marked real, stores the same
-    complex128 entries as one built from the complex copy, and its spectral
-    results are those of the complex copy bit for bit."""
+    """An operator built from a real array is marked real, stores its
+    float64 array until ``entries`` is read, reads the same complex128
+    entries as one built from the complex copy, and its spectral results
+    are those of the complex copy bit for bit."""
 
     def test_real_is_derived_and_storage_complex(self):
         m = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -435,6 +436,27 @@ class TestRealOperator:
             Operator(QUBIT, m, real=True)
         with pytest.raises(TypeError):
             Operator(QUBIT, m, hermitian_hint=True)
+
+    def test_entries_copy_made_on_first_read(self):
+        rng = stream_rng(33)
+        # one tile of the Hermitian check, and D = 200, past one tile
+        for n, where in [(6, (0, 5)), (200, (3, 190))]:
+            z = rng.standard_normal((n, n))
+            m = z + z.T
+            op = Operator(RegisterShape((n,)), m)
+            values = op.values
+            assert values.dtype == np.float64
+            before = values.tobytes()
+            expected = values.astype(np.complex128).tobytes()
+            entries = op.entries
+            assert entries.dtype == np.complex128 and entries.tobytes() == expected
+            assert op.entries is entries
+            assert op.values.dtype == np.float64 and op.values.tobytes() == before
+            for bad in (np.nan, m[where] + 1e-6):
+                broken = m.copy()
+                broken[where] = bad
+                with pytest.raises(ParameterError):
+                    Operator(RegisterShape((n,)), broken)
 
     def test_register_maps_keep_the_mark(self):
         shape = RegisterShape((2, 3))

@@ -478,7 +478,7 @@ class TestDenseBuildOracle:
         assert np.array_equal(res.keyed.values, dense_keyed(
             4, 4, 1, prfs_charges([(0,), (1,), (0,)], (1, 1, 1))).values)
 
-    def test_keyed_peak_is_below_the_dense_build(self):
+    def test_peaks_are_the_arrays_held(self):
         def peak(build):
             tracemalloc.start()
             try:
@@ -487,13 +487,15 @@ class TestDenseBuildOracle:
             finally:
                 tracemalloc.stop()
 
-        args = (32, 2, 0, [range(1)])
-        scattered = peak(lambda: _keyed_state(*args, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP))
-        dense = peak(lambda: dense_keyed(*args))
-        # no D x D mask or product, and the moment's complex copy is gone
-        # before the keyed state's is made: at least one 1024-square
-        # float64 array (8 MiB) less
-        assert scattered < dense - 8 * 1024**2
+        # at D = 1024 one float64 matrix is 8 MiB; the keyed state holds the
+        # moment and its output, the ideal state its output alone (the
+        # per-group moments are 32-square), and neither makes a complex
+        # copy, a D x D mask or a Kronecker product
+        mib = 1024**2
+        assert peak(lambda: _keyed_state(32, 2, 0, [range(1)], DEFAULT_DIM_CAP,
+                                         DEFAULT_ENUM_CAP)) < 2 * 8 * mib + mib
+        assert peak(lambda: _ideal_state(32, [[0], [1]], DEFAULT_DIM_CAP,
+                                         DEFAULT_ENUM_CAP)) < 8 * mib + mib
 
 
 class TestPrsHybrids:

@@ -446,6 +446,22 @@ lams = 3, 2
         assert f"[{section}]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,line", [
+        ("experiment", "sed = 5"), ("caps", "dims = 4"), ("output", "fromat = csv"),
+    ])
+    def test_unknown_key_exits_two(self, tmp_path, capsys, section, line):
+        # without the check each typo loaded as the default (seed 0, the
+        # default caps, JSON output) and the run exited 0
+        extra = f"{line}\n" if section == "experiment" else f"\n[{section}]\n{line}\n"
+        cfg = self.write_config(tmp_path, "[experiment]\nname = kneser\n" + extra)
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigInvalid, match=rf"'{key}' in config section \[{section}\]"):
+            load_config(cfg)
+        out = tmp_path / "k.json"
+        assert main(["--out", str(out), "run", cfg]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_experiment_exits_two(self, tmp_path):
         cfg = self.write_config(tmp_path, """
 [experiment]
