@@ -158,9 +158,14 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     shape = RegisterShape((d,)).check_cap(cap)
     if common.dim != d:
         raise ShapeMismatch(f"common state dimension {common.dim} != 2^n = {d}")
-    amps = common.amplitudes
+    re, im = common.amplitudes.real, common.amplitudes.imag
     idx = np.arange(d)[:, None]
-    rho0 = np.outer(amps, amps.conj()) * _labels_agree(d, 1, n - lam, [(0,)], idx, idx.T)
+    # |amps><amps| from float64 products: a complex multiply may fuse them,
+    # depending on the CPU features numpy dispatches to
+    rho0 = np.empty((d, d), dtype=np.complex128)
+    rho0.real = np.outer(re, re) + np.outer(im, im)
+    rho0.imag = np.outer(im, re) - np.outer(re, im)
+    rho0 *= _labels_agree(d, 1, n - lam, [(0,)], idx, idx.T)
     F = fidelity(Operator(shape, rho0), Operator(shape, np.eye(d) / d))
     return F, 2.0 ** -(n - lam)
 

@@ -21,23 +21,29 @@ in cache; the maximum is the one-shot
 fails the check.  The spectral step (``trace_norm``, ``trace_distance``,
 ``fidelity``, ``pinv_sqrt``, ``numeric_rank``) is an eigensolve on
 ``values``; the trace norm is the sum of |eigenvalues|.  The difference of
-two real operators is one contiguous float64 array, and any other matrix
-whose imaginary part is exactly zero is also handed to LAPACK's real
-symmetric solver, which finds the same spectrum in a fraction of the
-complex solver's time; a matrix with any nonzero imaginary entry takes the
-complex Hermitian solver.  The choice is read from the input, never set by
-a flag.  Every exact-path eigensolve also reads the matrix's
-exact zero pattern: above D = 64 it labels the connected components of the
-pattern's lower triangle (the part LAPACK reads) and solves the blocks of
-each size as one batched stack, since a matrix that is block diagonal up to
-a permutation has the union of its blocks' spectra.  Keyed-minus-ideal
-differences, Haar moments and PPT blocks are block diagonal by type: the
-1024-square hybrid differences split into blocks of at most 18, and the
-720-square PPT block at (d, t) = (10, 2) into 90 blocks of at most 8.  At
-D <= 64, or with one component, the dense solve is as fast or faster and
-takes the whole matrix.  The eigenvalues come back ascending and the
-eigenvectors as one dense matrix in the same column order, as from a dense
-solve.
+two real operators is taken in float64, and any other matrix whose
+imaginary part is exactly zero is also handed to LAPACK's real symmetric
+solver, which finds the same spectrum in a fraction of the complex
+solver's time; a matrix with any nonzero imaginary entry takes the complex
+Hermitian solver.  The choice is read from the input, never set by a flag,
+and made once for the whole matrix.  Every exact-path eigensolve also
+reads the matrix's exact zero pattern: above D = 64 it labels the
+connected components of the pattern's lower triangle (the part LAPACK
+reads) and solves the blocks of each size as one batched stack, since a
+matrix that is block diagonal up to a permutation has the union of its
+blocks' spectra.  Keyed-minus-ideal differences, Haar moments and PPT
+blocks are block diagonal by type: the 1024-square hybrid differences
+split into blocks of at most 18, and the 720-square PPT block at
+(d, t) = (10, 2) into 90 blocks of at most 8.  At D <= 64, or with one
+component, the dense solve is as fast or faster and takes the whole
+matrix.  The spectral step stays in those blocks.  ``trace_distance``
+never forms the D x D difference a - b: it reads the difference's zero
+pattern as ``a != b`` and gathers each block as ``a[idx] - b[idx]``, the
+same floats.  The eigenvalues come back ascending; the eigenvectors come
+back per block, as a block eigensystem (see ``_spectrum``), so no D x D
+eigenvector matrix is formed: ``pinv_sqrt`` builds its output block by
+block, and only ``fidelity`` assembles the dense eigenvector matrix
+(``_dense_eigh``).
 
 Flat-index convention (fixed globally, documented only here): register 0
 is the most significant digit of the flat index.  A basis label
@@ -288,11 +294,27 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _component_roots(m: np.ndarray) -> np.ndarray:
-    """Smallest index of each index's connected component in the graph with
-    an edge i -- j wherever m[i, j] != 0 and i >= j.
+def _real_pair_if_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a.real, b.real)`` when ``a - b`` has no nonzero imaginary entry,
+    else ``(a, b)``, found without forming ``a - b``.  The real part of
+    a - b is a.real - b.real bit for bit, so this is the choice
+    ``_real_if_exact`` makes on the difference."""
+    imag = [m.imag for m in (a, b) if np.iscomplexobj(m)]
+    if len(imag) == 2:
+        differs = (imag[0] != imag[1]).any()
+    else:
+        differs = bool(imag) and imag[0].any()
+    return (a, b) if differs else (a.real, b.real)
 
-    The lower triangle is what LAPACK reads of a Hermitian matrix; the
+
+def _component_roots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Smallest index of each index's connected component in the graph with
+    an edge i -- j wherever (a - b)[i, j] != 0, or a[i, j] != 0 when ``b``
+    is None, and i >= j.
+
+    The pattern is read as ``a != b``, which for finite entries is exactly
+    the zero pattern of a - b, so the difference is never formed.  The
+    lower triangle is what LAPACK reads of a Hermitian matrix; the
     diagonal tiles add a few upper entries, which can only merge
     components.  Min-label passes over row tiles: in each tile every row
     takes the smallest label among its nonzero columns and hands its own
@@ -306,9 +328,10 @@ def _component_roots(m: np.ndarray) -> np.ndarray:
     as bool tiles, D^2/2 bytes in all, and no integer temporary is longer
     than D.
     """
-    n = len(m)
-    starts = range(0, n, _HERM_TILE)
-    pattern = [m[r:r + _HERM_TILE, :r + _HERM_TILE] != 0 for r in starts]
+    n, t = len(a), _HERM_TILE
+    starts = range(0, n, t)
+    pattern = [a[r:r + t, :r + t] != (0 if b is None else b[r:r + t, :r + t])
+               for r in starts]
     labels = np.arange(n)
     while True:
         before = labels.copy()
@@ -328,10 +351,10 @@ def _component_roots(m: np.ndarray) -> np.ndarray:
             return labels
 
 
-def _block_indices(m: np.ndarray) -> list[np.ndarray] | None:
-    """The components of ``m``'s exact zero pattern as ``(nblocks, s)`` index
-    arrays, one per block size s, each row ascending; None when ``m`` is
-    solved whole.
+def _block_indices(a: np.ndarray, b: np.ndarray | None = None) -> list[np.ndarray] | None:
+    """The components of the exact zero pattern of ``a - b`` (of ``a`` when
+    ``b`` is None) as ``(nblocks, s)`` index arrays, one per block size s,
+    each row ascending; None when the matrix is solved whole.
 
     Up to _BLOCK_MIN_DIM, or with one component, the whole matrix is
     solved.  Median times with one BLAS thread, dense solve against
@@ -341,11 +364,11 @@ def _block_indices(m: np.ndarray) -> list[np.ndarray] | None:
     against 0.10-0.71 ms (blocks faster in 5 of 6), at D = 128 0.32-2.0 ms
     against 0.19-0.92 ms, at D = 256 2.2-11.5 ms against 0.50-2.0 ms.
     """
-    if len(m) <= _BLOCK_MIN_DIM:
+    if len(a) <= _BLOCK_MIN_DIM:
         return None
     # each block's rows ascend, so its lower triangle, the one LAPACK reads,
-    # is a part of m's lower triangle
-    groups = _label_groups(_component_roots(m))
+    # is a part of the matrix's lower triangle
+    groups = _label_groups(_component_roots(a, b))
     if len(groups) == 1 and len(groups[0]) == 1:
         return None
     return groups
@@ -367,41 +390,56 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
             for s in np.flatnonzero(np.bincount(group_sizes))]
 
 
-def _spectrum(m: np.ndarray, vectors: bool):
-    """Ascending eigenvalues of the Hermitian ``m``, with the eigenvectors as
-    the columns of a dense matrix in the same order when ``vectors``.
+def _spectrum(a: np.ndarray, b: np.ndarray | None = None, vectors: bool = False):
+    """Eigensystem of the Hermitian ``a - b``, or of ``a`` when ``b`` is
+    None.  Without ``vectors``: the eigenvalues, ascending.  With
+    ``vectors``: the block eigensystem, a list of ``(idx, vals, vecs)``,
+    one per block size s: ``idx`` the ``(nblocks, s)`` indices of each
+    block, ``vals`` its ``(nblocks, s)`` eigenvalues, each row ascending,
+    and ``vecs`` the ``(nblocks, s, s)`` eigenvectors, column j of block k
+    the one of ``vals[k, j]`` on the indices ``idx[k]``.  A matrix solved
+    whole is one block on all its indices.
 
     A matrix whose exact zero pattern splits into components is a
     permutation of a block-diagonal matrix, so its spectrum is the union of
     its blocks' spectra; the blocks of one size go to the solver as one
-    ``(nblocks, s, s)`` stack.
+    ``(nblocks, s, s)`` stack, gathered as ``a[idx] - b[idx]``, one
+    subtraction per entry, so each block holds the dense difference's
+    floats.  Neither the D x D difference nor a D x D eigenvector matrix
+    is formed; only a matrix solved whole (D <= 64, or one component) is
+    handed to the solver as one D x D array.
     """
-    m = _real_if_exact(m)
+    if b is None:
+        a = _real_if_exact(a)
+    else:
+        a, b = _real_pair_if_exact(a, b)
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    groups = _block_indices(m)
+    groups = _block_indices(a, b)
     try:
         if groups is None:
-            return solve(m)
-        solved = [solve(m[idx[:, :, None], idx[:, None, :]]) for idx in groups]
+            solved = solve(a if b is None else a - b)
+            if not vectors:
+                return solved
+            return [(np.arange(len(a))[None], solved[0][None], solved[1][None])]
+        solved = []
+        for idx in groups:
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            solved.append(solve(a[rows, cols] if b is None
+                                else a[rows, cols] - b[rows, cols]))
     except np.linalg.LinAlgError as exc:
         raise EigsFailed(str(exc)) from exc
-    vals = np.concatenate([(s[0] if vectors else s).ravel() for s in solved])
-    order = np.argsort(vals, kind="stable")
     if not vectors:
-        return vals[order]
-    column = np.empty(len(vals), dtype=np.intp)
-    column[order] = np.arange(len(vals))
-    vecs = np.zeros(m.shape, dtype=solved[0][1].dtype)
-    start = 0
-    for idx, (_, block_vecs) in zip(groups, solved):
-        cols = column[start:start + idx.size].reshape(idx.shape)
-        vecs[idx[:, :, None], cols[:, None, :]] = block_vecs
-        start += idx.size
-    return vals[order], vecs
+        return _ascending(solved)
+    return [(idx, vals, vecs) for idx, (vals, vecs) in zip(groups, solved)]
 
 
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    return _spectrum(m, vectors=False)
+def _ascending(blocks) -> np.ndarray:
+    """The eigenvalue arrays ``blocks`` concatenated and sorted ascending."""
+    return np.sort(np.concatenate([vals.ravel() for vals in blocks]), kind="stable")
+
+
+def _eigvalsh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    return _spectrum(a, b)
 
 
 def trace_norm(m: Operator) -> float:
@@ -414,12 +452,15 @@ def trace_distance(a: Operator, b: Operator) -> float:
 
     The difference of two operators is Hermitian, since both were checked
     when they were built, so it goes straight to the eigenvalue solver.
-    The difference of two real operators is float64, the real part of
-    their complex difference bit for bit.
+    The D x D difference is never formed: its zero pattern is read as
+    ``a != b`` and each block gathered as ``a[idx] - b[idx]`` (see
+    :func:`_spectrum`), so the spectrum is the one of the dense
+    difference bit for bit.  The difference of two real operators is
+    float64, the real part of their complex difference bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    return 0.5 * float(np.abs(_eigvalsh(a.values - b.values)).sum())
+    return 0.5 * float(np.abs(_eigvalsh(a.values, b.values)).sum())
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -427,10 +468,28 @@ def _require_psd(vals: np.ndarray, tol: float) -> None:
         raise NotPSD(f"eigenvalue {vals.min():.3e} below -{tol}")
 
 
-def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL):
-    vals, vecs = _spectrum(m, vectors=True)
-    _require_psd(vals, tol)
-    return np.clip(vals, 0.0, None), vecs
+def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL) -> list[tuple]:
+    """The block eigensystem of :func:`_spectrum` with every eigenvalue
+    clipped at 0; ``NotPSD`` when one lies below ``-tol``."""
+    system = _spectrum(m, vectors=True)
+    _require_psd(_ascending(vals for _, vals, _ in system), tol)
+    return [(idx, np.clip(vals, 0.0, None), vecs) for idx, vals, vecs in system]
+
+
+def _dense_eigh(system: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of a block eigensystem and its eigenvectors
+    as the columns of one dense matrix in the same order."""
+    vals = np.concatenate([block_vals.ravel() for _, block_vals, _ in system])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(len(vals), dtype=np.intp)
+    column[order] = np.arange(len(vals))
+    vecs = np.zeros((len(vals), len(vals)), dtype=system[0][2].dtype)
+    start = 0
+    for idx, _, block_vecs in system:
+        cols = column[start:start + idx.size].reshape(idx.shape)
+        vecs[idx[:, :, None], cols[:, None, :]] = block_vecs
+        start += idx.size
+    return vals[order], vecs
 
 
 def _above_noise(vals: np.ndarray, dim: int) -> np.ndarray:
@@ -451,7 +510,7 @@ def fidelity(a: Operator, b: Operator) -> float:
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
     dim = a.shape.total
-    avals, avecs = _psd_eigh(a.values)
+    avals, avecs = _dense_eigh(_psd_eigh(a.values))
     support = _above_noise(avals, dim)
     avals, avecs = avals[support], avecs[:, support]
     b_values = _real_if_exact(b.values)
@@ -465,10 +524,18 @@ def fidelity(a: Operator, b: Operator) -> float:
 
 
 def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
-    """Inverse square root on the support; eigenvalues <= cutoff go to 0."""
-    vals, vecs = _psd_eigh(m.values)
-    inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
-    out = (vecs * inv) @ vecs.conj().T
+    """Inverse square root on the support; eigenvalues <= cutoff go to 0.
+
+    Built block by block from the block eigensystem, V diag(inv) V^H on
+    each block's indices, O(sum s^3) rather than one O(D^3) product.
+    """
+    system = _psd_eigh(m.values)
+    out = np.zeros((m.dim, m.dim), dtype=system[0][2].dtype)
+    for idx, vals, vecs in system:
+        keep = vals > cutoff
+        inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
+        out[idx[:, :, None], idx[:, None, :]] = (
+            (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(1, 2))
     return Operator(m.shape, out)
 
 

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, StateVector, \
-    _psd_eigh, numeric_rank, permute_registers, pinv_sqrt, trace_distance
+    _ascending, _psd_eigh, numeric_rank, permute_registers, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -528,15 +528,21 @@ def rank_attack(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
 
     # clipped negatives never reach the support, so rank0 and accept_pseudo
     # are those of the unclipped spectrum
-    vals0, vecs0 = _psd_eigh(rho0)
-    support = vals0 > RANK_TOL * vals0.max()
+    system = _psd_eigh(rho0)
+    vals0 = _ascending(vals for _, vals, _ in system)
+    threshold = RANK_TOL * vals0.max()
+    support = vals0 > threshold
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())
-    basis = vecs0[:, support]
-    # Tr(P rho1) over the support basis; a probability, so clip the
-    # round-off that can carry it just past 1
-    accept_haar = float(np.clip(
-        np.real(np.vdot(basis, ideal.values @ basis)), 0.0, 1.0))
+    # Tr(P rho1) = sum of v^H rho1 v over the support eigenvectors v, each
+    # read on its own block's indices; a probability, so clip the round-off
+    # that can carry it just past 1
+    overlap = 0.0
+    for idx, vals, vecs in system:
+        block = ideal.values[idx[:, :, None], idx[:, None, :]]
+        per_vector = np.real((vecs.conj() * (block @ vecs)).sum(axis=1))
+        overlap += per_vector[vals > threshold].sum()
+    accept_haar = float(np.clip(overlap, 0.0, 1.0))
     rank1 = numeric_rank(ideal)
 
     ratio_bound = 2**lam / comb(ell + t, ell)

@@ -352,7 +352,10 @@ def _exp_commit_fidelity(params, seed, caps, rec: _Recorder):
         F, _ = cm.fidelity_bound_check(lam, n, common, caps.dim)
         worst = max(worst, F)
         # independent reference: F = (sum_b sqrt(w_b))^2 / d over block weights
-        weights = (np.abs(common.amplitudes) ** 2).reshape(2**lam, -1).sum(axis=1)
+        amps = common.amplitudes
+        # re^2 + im^2 rather than |amps|^2: numpy's complex abs differs
+        # in the last bit between the CPU features it dispatches to
+        weights = (amps.real**2 + amps.imag**2).reshape(2**lam, -1).sum(axis=1)
         gap = max(gap, abs(F - np.sqrt(weights).sum() ** 2 / 2**n))
     rec.below("max-fidelity", worst, bound, EXACT, _PROB_TOL)
     rec.close("max-gap-to-closed-form", gap, 0.0, EXACT, _CLOSED_FORM_TOL)

@@ -266,12 +266,24 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar states as rows of a (count, d) array: all real parts
     drawn first, then all imaginary parts, through one float64 buffer into
-    one complex128 array, which is normalised in place."""
+    one complex128 array, which is normalised in place.
+
+    Each row's squared norm is formed as re*re + im*im by separate float64
+    multiplies and an add on the array's float64 view, then summed along
+    the row, and both parts are multiplied by 1/norm.  ``np.linalg.norm``
+    forms |z|^2 by a complex multiply, which numpy's AVX2 and AVX-512 loops
+    evaluate as fma(re, re, im*im), so its last bit depended on the CPU
+    features numpy dispatched to; these ufuncs round the same everywhere.
+    """
     z = np.empty((count, d), dtype=np.complex128)
     part = rng.standard_normal((count, d))
     z.real = part
     z.imag = rng.standard_normal(out=part)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    parts = z.view(np.float64)
+    re, im = parts[:, 0::2], parts[:, 1::2]
+    square = np.multiply(re, re, out=part)
+    square += im * im
+    parts *= (1.0 / np.sqrt(square.sum(axis=1)))[:, None]
     return z
 
 

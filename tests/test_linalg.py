@@ -1,5 +1,7 @@
 """Unit and property tests for the shaped dense linear algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from chslab.linalg import (
     trace_norm,
     _BLOCK_MIN_DIM,
     _block_indices,
+    _dense_eigh,
     _eigvalsh,
     _hermitian_defect,
     _psd_eigh,
@@ -652,7 +655,7 @@ class TestBlockSpectrum:
 
     def test_eigenvectors_diagonalise(self, planted):
         for m, _ in planted:
-            vals, vecs = _spectrum(m, vectors=True)
+            vals, vecs = _dense_eigh(_spectrum(m, vectors=True))
             assert vecs.shape == m.shape and np.all(np.diff(vals) >= 0)
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
             np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(m)), rtol=0,
@@ -664,7 +667,7 @@ class TestBlockSpectrum:
         for h, _ in planted:
             m = h @ h
             m = (m + m.conj().T) / 2
-            vals, vecs = _psd_eigh(m)
+            vals, vecs = _dense_eigh(_psd_eigh(m))
             assert np.all(np.diff(vals) >= 0) and np.all(vals >= 0)
             np.testing.assert_allclose(vals, np.clip(np.linalg.eigvalsh(m), 0, None),
                                        rtol=0, atol=1e-12)
@@ -679,6 +682,98 @@ class TestBlockSpectrum:
         m[0, 0] -= 1.0 + np.linalg.eigvalsh(m).max()
         with pytest.raises(NotPSD):
             _psd_eigh(m)
+
+
+def dense_difference_distance(a: Operator, b: Operator) -> float:
+    """Oracle: half the trace norm of the dense difference a - b, formed as
+    one D x D array and solved through the one-operand spectrum."""
+    return 0.5 * float(np.abs(_eigvalsh(a.values - b.values)).sum())
+
+
+def dense_pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> np.ndarray:
+    """Oracle: the inverse square root as one dense product over the dense
+    eigenvector matrix."""
+    vals, vecs = _dense_eigh(_psd_eigh(m.values))
+    inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.where(vals > cutoff, vals, 1.0)), 0.0)
+    return (vecs * inv) @ vecs.conj().T
+
+
+class TestBlockDifference:
+    """The spectral step on a - b without the D x D difference: the zero
+    pattern is read as a != b and each block gathered as a[idx] - b[idx]."""
+
+    def test_complex_pair_with_equal_imaginary_parts_is_solved_real(self, monkeypatch):
+        # a - b is real although neither operand is, so the blocks go to the
+        # real solver, as the dense difference would
+        seen = []
+
+        def record(m, *args, _solver=np.linalg.eigvalsh, **kwargs):
+            seen.append(np.asarray(m))
+            return _solver(m, *args, **kwargs)
+
+        rng = stream_rng(40)
+        blocks = rng.permutation(96).reshape(12, 8)
+        a = random_block_density(rng, blocks, real=False)
+        delta = np.zeros((96, 96))
+        for idx in blocks[::2]:
+            z = rng.standard_normal((8, 8))
+            delta[np.ix_(idx, idx)] = 1e-3 * (z + z.T)
+        b = Operator(a.shape, a.entries + delta)
+        assert not (a.real or b.real) and np.array_equal(a.values.imag, b.values.imag)
+        assert a.values.imag.any()
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        td = trace_distance(a, b)
+        # the six changed blocks, and the 48 indices where a - b is zero
+        assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (48, 1, 1)),
+                                                      (np.float64, (6, 8, 8))]
+        assert td == dense_difference_distance(a, b)
+        assert td == pytest.approx(
+            0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(), abs=1e-12)
+
+    def test_pair_differing_inside_one_block(self):
+        rng = stream_rng(41)
+        blocks = rng.permutation(96).reshape(12, 8)
+        for real in (True, False):
+            a = random_block_density(rng, blocks, real)
+            m = a.entries.copy()
+            inside = np.ix_(blocks[3], blocks[3])
+            m[inside] = random_rank_density(rng, 8, 8, real).entries / 12
+            b = Operator(a.shape, m)
+            groups = _block_indices(a.values, b.values)
+            assert [idx.shape for idx in groups] == [(88, 1), (1, 8)]
+            np.testing.assert_array_equal(groups[1][0], np.sort(blocks[3]))
+            td = trace_distance(a, b)
+            assert td == dense_difference_distance(a, b)
+            diff = a.entries[inside] - b.entries[inside]
+            assert td == pytest.approx(
+                0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(), abs=1e-12)
+
+    def test_no_dense_difference_is_allocated(self):
+        # D = 1024 in 64 blocks of 16: one float64 D x D array is 8 MiB
+        rng = stream_rng(42)
+        blocks = rng.permutation(1024).reshape(64, 16)
+        a, b = (real_built(random_block_density(rng, blocks, True)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            td = trace_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+        assert td == dense_difference_distance(a, b)
+
+
+class TestBlockPinvSqrt:
+    def test_matches_the_dense_product(self):
+        rng = stream_rng(43)
+        blocks = rng.permutation(96).reshape(12, 8)
+        for real in (True, False):
+            m = random_block_density(rng, blocks, real)
+            assert _block_indices(m.values) is not None
+            out = pinv_sqrt(m)
+            assert out.real is real
+            np.testing.assert_allclose(out.values, dense_pinv_sqrt(m), rtol=0,
+                                       atol=1e-12)
 
 
 class TestPermuteRegisters:

@@ -17,8 +17,10 @@ from chslab.errors import (
     ParameterError,
     PreconditionViolated,
 )
-from chslab.linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    permute_registers, pinv_sqrt
+from chslab import pseudo
+from chslab.linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, \
+    StateVector, _dense_eigh, _eigvalsh, _psd_eigh, permute_registers, pinv_sqrt, \
+    trace_distance
 from chslab.pseudo import (
     PrfsInput,
     PrfsKey,
@@ -685,6 +687,74 @@ class TestRankAttack:
         assert res.accept_pseudo == pytest.approx(vals[support].sum(), abs=1e-12)
         assert res.accept_haar == pytest.approx(min(accept_haar, 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("lam,n,ell,t", [(1, 2, 1, 1), (2, 2, 2, 2), (3, 3, 1, 2)])
+    def test_matches_dense_eigenvector_oracle(self, lam, n, ell, t):
+        # oracle: the support basis as columns of the dense eigenvector
+        # matrix, and Tr(P rho1) as one vdot against the dense D x D product
+        d, total = 2**n, ell + t
+        rho0 = _keyed_state(d, total, n - lam, [range(ell)], DEFAULT_DIM_CAP,
+                            DEFAULT_ENUM_CAP).values
+        ideal = _ideal_state(d, [range(ell), range(ell, total)], DEFAULT_DIM_CAP,
+                             DEFAULT_ENUM_CAP).values
+        vals, vecs = _dense_eigh(_psd_eigh(rho0))
+        support = vals > RANK_TOL * vals.max()
+        basis = vecs[:, support]
+        accept_haar = float(np.clip(np.real(np.vdot(basis, ideal @ basis)), 0.0, 1.0))
+        res = rank_attack(PseudoParams(lam, n, ell, t))
+        assert res.rank0 == int(support.sum())
+        assert res.accept_pseudo == float(vals[support].sum())
+        assert res.accept_haar == pytest.approx(accept_haar, abs=1e-12)
+
+    def test_spectral_step_allocates_no_dense_matrix(self, monkeypatch):
+        # after the keyed and ideal states are built, the rest of the attack
+        # holds per-block arrays only: less than one D x D float64 matrix
+        # (2 MiB at D = 512), where the dense eigenvector matrix alone is one
+        marks = []
+        build = pseudo._ideal_state
+
+        def built(*args):
+            out = build(*args)
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(pseudo, "_ideal_state", built)
+        tracemalloc.start()
+        try:
+            res = rank_attack(PseudoParams(3, 3, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 1 and res.rank0 == 288
+        assert peak - marks[0] < 512 * 512 * 8
+
+    def test_block_solver_failure_becomes_eigs_failed(self, monkeypatch):
+        # D = 512: the keyed state is solved as stacks of blocks
+        shapes = []
+
+        def fail(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigsFailed):
+            rank_attack(PseudoParams(3, 3, 1, 2))
+        assert len(shapes) == 1 and len(shapes[0]) == 3
+
+    def test_block_negative_eigenvalue_raises_not_psd(self, monkeypatch):
+        solve = np.linalg.eigh
+        shapes = []
+
+        def one_negative(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            vals, vecs = solve(m, *args, **kwargs)
+            vals = vals.copy()
+            vals.flat[0] = -1e-6
+            return vals, vecs
+        monkeypatch.setattr(np.linalg, "eigh", one_negative)
+        with pytest.raises(NotPSD):
+            rank_attack(PseudoParams(3, 3, 1, 2))
+        assert shapes and all(len(shape) == 3 for shape in shapes)
+
     def test_ideal_acceptance_is_a_probability(self):
         # the support-basis contraction lands just above 1 in floating point
         res = rank_attack(PseudoParams(3, 3, 1, 2))
@@ -715,6 +785,41 @@ def onewayness_oracle(n, m):
     sigma = Operator(RegisterShape((d,) * total), sum(rhos))
     s = pinv_sqrt(sigma, 1e-10).entries
     return sum(float(np.real(np.trace(r @ s @ r @ s))) for r in rhos) / d
+
+
+class TestBlockSpectralStep:
+    """The exact-hybrids distances at D = 1024 through the block spectral
+    step, against the dense difference a - b."""
+
+    @pytest.mark.parametrize("lam,n,ell,t", [(5, 5, 1, 1), (2, 2, 2, 3)])
+    def test_trace_distance_matches_dense_difference(self, lam, n, ell, t):
+        res = prs_hybrids(PseudoParams(lam, n, ell, t))
+        keyed, ideal = res.keyed, res.ideal
+        assert keyed.dim == 1024 and keyed.real and ideal.real
+        oracle = 0.5 * float(np.abs(_eigvalsh(keyed.values - ideal.values)).sum())
+        assert res.td == trace_distance(keyed, ideal) == oracle
+        assert res.td == pytest.approx(
+            0.5 * np.abs(np.linalg.eigvalsh(keyed.values - ideal.values)).sum(), abs=1e-12)
+
+    def test_trace_distance_allocates_no_dense_matrix(self):
+        res = prs_hybrids(PseudoParams(5, 5, 1, 1))
+        tracemalloc.start()
+        try:
+            trace_distance(res.keyed, res.ideal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+
+    def test_pinv_sqrt_matches_the_dense_product(self):
+        # the mixture of onewayness_quantity(3, 2), D = 512, solved in blocks
+        d = 8
+        sigma = _keyed_state(d, 3, 0, [(0,)], DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
+        m = Operator(sigma.shape, d * sigma.values)
+        vals, vecs = _dense_eigh(_psd_eigh(m.values))
+        inv = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
+        np.testing.assert_allclose(pinv_sqrt(m).values, (vecs * inv) @ vecs.T, rtol=0,
+                                   atol=1e-12)
 
 
 class TestOnewayness:
