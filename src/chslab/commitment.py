@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .errors import NotUnitary, ParameterError, ShapeMismatch
 from .linalg import (
     DEFAULT_DIM_CAP,
@@ -149,11 +150,12 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
                          cap: int = DEFAULT_DIM_CAP) -> tuple[float, float]:
     """Fidelity of the key-averaged commit register against maximally mixed.
 
-    Returns (F, 2^-(n-lam)); the bound holds for every common state because
-    the averaged state has rank at most 2^lam.
+    Returns (F, 2^-(n-lam)), the bound from :func:`chslab.exact.fidelity_bound`;
+    it holds for every common state because the averaged state has rank at
+    most 2^lam.
     """
-    if n < lam + 1:
-        raise ParameterError(f"need n >= lam + 1, got n={n}, lam={lam}")
+    if lam < 0 or n < lam + 1:
+        raise ParameterError(f"need n >= lam + 1 >= 1, got n={n}, lam={lam}")
     d = 2**n
     shape = RegisterShape((d,)).check_cap(cap)
     if common.dim != d:
@@ -167,7 +169,7 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     rho0.imag = np.outer(im, re) - np.outer(re, im)
     rho0 *= _labels_agree(d, 1, n - lam, [(0,)], idx, idx.T)
     F = fidelity(Operator(shape, rho0), Operator(shape, np.eye(d) / d))
-    return F, 2.0 ** -(n - lam)
+    return F, float(exact.fidelity_bound(lam, n))
 
 
 @dataclass(frozen=True)

@@ -438,13 +438,9 @@ def _ascending(blocks) -> np.ndarray:
     return np.sort(np.concatenate([vals.ravel() for vals in blocks]), kind="stable")
 
 
-def _eigvalsh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    return _spectrum(a, b)
-
-
 def trace_norm(m: Operator) -> float:
     """Sum of |eigenvalues|, the sum of singular values of a Hermitian matrix."""
-    return float(np.abs(_eigvalsh(m.values)).sum())
+    return float(np.abs(_spectrum(m.values)).sum())
 
 
 def trace_distance(a: Operator, b: Operator) -> float:
@@ -460,7 +456,7 @@ def trace_distance(a: Operator, b: Operator) -> float:
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    return 0.5 * float(np.abs(_eigvalsh(a.values, b.values)).sum())
+    return 0.5 * float(np.abs(_spectrum(a.values, b.values)).sum())
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -514,11 +510,11 @@ def fidelity(a: Operator, b: Operator) -> float:
     support = _above_noise(avals, dim)
     avals, avecs = avals[support], avecs[:, support]
     b_values = _real_if_exact(b.values)
-    _require_psd(_eigvalsh(b_values), PSD_TOL)  # validate the second argument too
+    _require_psd(_spectrum(b_values), PSD_TOL)  # validate the second argument too
     root = avecs * np.sqrt(avals)
     mid = root.conj().T @ b_values @ root
     mid = 0.5 * (mid + mid.conj().T)
-    mvals = _eigvalsh(mid)
+    mvals = _spectrum(mid)
     mvals = mvals[_above_noise(mvals, dim)]
     return float(np.sqrt(mvals).sum() ** 2)
 
@@ -541,7 +537,7 @@ def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
 
 def numeric_rank(m: Operator, rel_threshold: float = RANK_TOL) -> int:
     """Count of eigenvalues with |lam| > rel_threshold * max |lam|."""
-    vals = np.abs(_eigvalsh(m.values))
+    vals = np.abs(_spectrum(m.values))
     if vals.size == 0:
         return 0
     top = vals.max()

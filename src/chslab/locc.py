@@ -2,7 +2,8 @@
 
 The lower bound is the collision tester: both parties measure every copy in
 the computational basis and accept when all outcomes are distinct.  Its
-advantage has an exact closed form in binomial ratios.  Its Monte Carlo
+advantage has an exact closed form in binomial ratios
+(:func:`chslab.exact.collision_advantage`).  Its Monte Carlo
 estimate never builds a state: a Haar state's basis probabilities are
 Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j takes k
 uniform in [0, d+j) and repeats earlier draw k when k < j, else it is the
@@ -34,17 +35,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
 
 import numpy as np
 
+from . import exact
 from .errors import EnumerationTooLarge, ParameterError
 from .linalg import (
     DEFAULT_DIM_CAP,
     Operator,
     RegisterShape,
-    _eigvalsh,
+    _spectrum,
     partial_transpose,
     trace_distance,
     trace_norm,
@@ -141,30 +142,20 @@ def kneser_adjacency(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP,
     return Operator(shape, out)
 
 
-def _kneser_formula(v: int, k: int) -> float:
-    return 2**k * prod(range(v - 1, v - 2 * k, -2)) / factorial(k)
-
-
 def kneser_one_norm(kp: KneserParams, enum_cap: int = DEFAULT_ENUM_CAP,
                     cap: int = DEFAULT_DIM_CAP) -> tuple[float, float]:
-    """(sum of absolute adjacency eigenvalues, closed-form value).
-
-    The closed form 2^k (v-1)(v-3)...(v-2k+1) / k! is stated for v >= 2k+1;
-    at v = 2k it degenerates to the perfect-matching count and still agrees.
-    """
-    exact = trace_norm(kneser_adjacency(kp, enum_cap, cap))
-    return exact, _kneser_formula(kp.v, kp.k)
+    """(sum of absolute adjacency eigenvalues, closed-form value): the
+    dense trace norm and :func:`chslab.exact.kneser_one_norm`."""
+    norm = trace_norm(kneser_adjacency(kp, enum_cap, cap))
+    return norm, float(exact.kneser_one_norm(kp.v, kp.k))
 
 
 def locc_advantage_closed_form(d: int, t: int) -> float:
-    """Exact advantage of the no-collision tester, as a binomial-ratio rational."""
+    """Exact advantage of the no-collision tester: the float of
+    :func:`chslab.exact.collision_advantage`."""
     if t < 0 or d < 2 * t or d < 1:
         raise ParameterError(f"need d >= 2t >= 0, got d={d}, t={t}")
-    if t == 0:
-        return 0.0
-    independent = Fraction(comb(d, t) * comb(d - t, t), comb(d + t - 1, t) ** 2)
-    identical = Fraction(comb(d, 2 * t), comb(d + 2 * t - 1, 2 * t))
-    return float(independent - identical)
+    return float(exact.collision_advantage(d, t))
 
 
 def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
@@ -268,7 +259,7 @@ def _ppt_blocks(d: int, t: int):
     g = member @ member.T
     member = member.astype(bool)
     count = len(member)
-    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
+    weight_rho = float(exact.ppt_weight(d, t))
 
     def elements(mask, k):
         # each row of mask has k True entries; their columns, ascending
@@ -316,25 +307,18 @@ def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
             f"subset-pair basis C({d},{t})^2 exceeds cap {enum_cap}")
     for j in range(1, t + 1):  # pairs (a, b) with |a n b| = j
         RegisterShape((comb(d, t) * comb(t, j) * comb(d - t, t - j),)).check_cap(cap)
-    exact = 0.0
+    norm = 0.0
     for block in _ppt_blocks(d, t):
-        exact += float(np.abs(_eigvalsh(block)).sum())
+        norm += float(np.abs(_spectrum(block)).sum())
 
-    weight_rho = 1.0 / (comb(d, 2 * t) * comb(2 * t, t))
     kneser_sum = 0.0
-    middle = Fraction(0)
-    factorial_bound = Fraction(0)
     for s in range(t):
-        norm, _ = kneser_one_norm(KneserParams(d - 2 * s, t - s), enum_cap, cap)
-        kneser_sum += comb(d, s) * comb(d - s, s) * norm
-        middle += Fraction(2 ** (t - s) * (factorial(t) // factorial(s)) ** 2,
-                           factorial(t - s) * prod(range(d - 2 * s, d - 2 * t, -2)))
-        factorial_bound += Fraction(2 ** (t - s) * t ** (2 * (t - s)),
-                                    factorial(t - s) * (d - 2 * t + 2) ** (t - s))
-    kneser_sum *= weight_rho
-    series_bound = float(np.expm1(2.0 * t * t / (d - 2 * t + 2)))
-    return PptChainResult(exact, kneser_sum, float(middle),
-                          float(factorial_bound), series_bound)
+        kneser, _ = kneser_one_norm(KneserParams(d - 2 * s, t - s), enum_cap, cap)
+        kneser_sum += comb(d, s) * comb(d - s, s) * kneser
+    kneser_sum *= float(exact.ppt_weight(d, t))
+    return PptChainResult(norm, kneser_sum, float(exact.ppt_middle(d, t)),
+                          float(exact.ppt_factorial_bound(d, t)),
+                          exact.ppt_series_bound(d, t))
 
 
 @dataclass(frozen=True)
@@ -378,7 +362,7 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
         return PptVsHaarResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     chain = ppt_diff_norm(d, t, enum_cap, cap)
     advantage = locc_advantage_closed_form(d, t)
-    slack_reference = t * t / d
+    slack_reference = float(exact.slack_reference(d, t))
 
     if d ** (2 * t) > cap:
         return PptVsHaarResult(advantage, chain.exact / 2.0, None, None, None,

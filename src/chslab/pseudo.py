@@ -26,6 +26,7 @@ from math import comb
 
 import numpy as np
 
+from . import exact
 from .errors import (
     ParameterError,
     PreconditionViolated,
@@ -428,14 +429,15 @@ def prs_hybrids(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
 
     keyed: ell generated copies plus t shared copies, key averaged exactly
     over all 2^lam keys.  ideal: independent ell-copy and t-copy moments.
-    The reported bound (ell+t)^(2 ell) / 2^lam carries no hidden constant.
+    The reported bound, :func:`chslab.exact.hybrid_bound`, is
+    (ell+t)^(2 ell) / 2^lam with no hidden constant.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
     keyed, ideal, td = _hybrid(2**n, n - lam, [range(ell)],
                                [range(ell), range(ell, ell + t)], cap, enum_cap)
-    return HybridResult(keyed, ideal, td, (ell + t) ** (2 * ell) / 2**lam)
+    return HybridResult(keyed, ideal, td, float(exact.hybrid_bound(lam, ell, t)))
 
 
 def prs_multikey_hybrids(params: PseudoParams, num_keys: int,
@@ -452,8 +454,8 @@ def prs_multikey_hybrids(params: PseudoParams, num_keys: int,
     keyed, ideal, td = _hybrid(2**n, n - lam, blocks,
                                blocks + [range(keyed_regs, keyed_regs + t)],
                                cap, enum_cap)
-    bound = num_keys * (keyed_regs + t) ** (2 * ell) / 2**lam
-    return HybridResult(keyed, ideal, td, bound)
+    return HybridResult(keyed, ideal, td,
+                        float(exact.hybrid_bound(lam, ell, t, keys=num_keys)))
 
 
 @dataclass(frozen=True)
@@ -496,8 +498,8 @@ def prfs_hybrids(params: PseudoParams, queries,
     keyed, ideal, td = _hybrid(2**n, n - lam, _query_charges(blocks, queries),
                                [*groups.values(), range(ell, ell + t)],
                                cap, enum_cap)
-    bound = (ell + t) ** (2 * ell) / 2**lam
-    return PrfsHybridResult(keyed, ideal, td, bound, True, 2 ** (2 * m_in * lam))
+    return PrfsHybridResult(keyed, ideal, td, float(exact.hybrid_bound(lam, ell, t)),
+                            True, 2 ** (2 * m_in * lam))
 
 
 @dataclass(frozen=True)
@@ -544,11 +546,8 @@ def rank_attack(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
         overlap += per_vector[vals > threshold].sum()
     accept_haar = float(np.clip(overlap, 0.0, 1.0))
     rank1 = numeric_rank(ideal)
-
-    ratio_bound = 2**lam / comb(ell + t, ell)
-    for i in range(ell):
-        ratio_bound *= 1.0 + t / (d + i)
-    return RankAttackResult(rank0, rank1, accept_pseudo, accept_haar, ratio_bound)
+    return RankAttackResult(rank0, rank1, accept_pseudo, accept_haar,
+                            float(exact.rank_ratio_bound(lam, n, ell, t)))
 
 
 def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
@@ -564,9 +563,11 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     and with s = sigma^(-1/2), and every x contributes the same
     Tr(D_x M D_x s D_x M D_x s) = Tr(M s M s).
     """
+    if n < 1 or m < 0:
+        raise ParameterError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     d = 2**n
     total = m + 1
     sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
     s = pinv_sqrt(Operator(sigma.shape, d * sigma.values)).values
     ms = haar_moment(d, total, cap, enum_cap).values @ s
-    return float(np.real(np.trace(ms @ ms))), total / d
+    return float(np.real(np.trace(ms @ ms))), float(exact.onewayness_bound(n, m))

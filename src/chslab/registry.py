@@ -24,12 +24,13 @@ from math import comb
 import numpy as np
 
 from . import commitment as cm
+from . import exact
 from . import locc as lc
 from . import pseudo as ps
 from . import typespace as ts
 from .errors import ChslabError, ConfigInvalid, ParameterError
 from .linalg import DEFAULT_DIM_CAP, HERM_TOL, Operator, RegisterShape, \
-    _eigvalsh, _hermitian_defect, numeric_rank
+    _hermitian_defect, _spectrum, numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -130,7 +131,7 @@ class _Recorder:
 
 
 def _count(params, name: str) -> int:
-    """``params[name]``, a number of draws or repeats; below 1 the
+    """``params[name]``, a number of draws, repeats or copies; below 1 the
     experiment would record a verdict without doing its work."""
     if params[name] < 1:
         raise ParameterError(f"{name} must be at least 1, got {params[name]}")
@@ -148,7 +149,7 @@ def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
     values = op.values
     rec.close(f"{label}-hermitian-defect", _hermitian_defect(values), 0.0, EXACT, HERM_TOL)
     rec.close(f"{label}-trace", float(np.real(np.trace(values))), 1.0, EXACT, _SUM_TOL)
-    min_eig = float(_eigvalsh(values).min())
+    min_eig = float(_spectrum(values).min())
     rec.add(f"{label}-min-eigenvalue", min_eig, -_PROB_TOL, EXACT,
             min_eig >= -_PROB_TOL)
 
@@ -175,8 +176,8 @@ def _exp_haar_moment_identity(params, seed, caps, rec: _Recorder):
     proj = ts.sym_projector(d, t, caps.dim, caps.enum)
     idem = float(np.abs(proj.values @ proj.values - proj.values).max())
     rec.close("projector-idempotent", idem, 0.0, EXACT, _ENTRY_TOL)
-    rec.close("projector-rank", numeric_rank(proj), comb(d + t - 1, t), EXACT,
-              _EXACT_TOL)
+    rec.close("projector-rank", numeric_rank(proj), exact.symmetric_dimension(d, t),
+              EXACT, _EXACT_TOL)
 
 
 def _good_types(n, m, ell, total, caps):
@@ -237,16 +238,18 @@ def _exp_bipartition(params, seed, caps, rec: _Recorder):
     target = ts.type_state(T, caps.dim).amplitudes
     rec.close("reconstruction-defect", float(np.abs(rebuilt - target).max()),
               0.0, EXACT, _ENTRY_TOL)
-    rec.close("pair-count", len(split.pairs), comb(t, x), EXACT, _EXACT_TOL)
+    rec.close("pair-count", len(split.pairs), exact.bipartition_pairs(T.total, x), EXACT,
+              _EXACT_TOL)
 
 
 def _exp_kneser(params, seed, caps, rec: _Recorder):
     v, k = params["v"], params["k"]
-    exact, formula = lc.kneser_one_norm(lc.KneserParams(v, k), caps.enum, caps.dim)
-    rec.close("one-norm-vs-formula", exact, formula, EXACT, _CHAIN_TOL)
+    norm, formula = lc.kneser_one_norm(lc.KneserParams(v, k), caps.enum, caps.dim)
+    rec.close("one-norm-vs-formula", norm, formula, EXACT, _CHAIN_TOL)
     adj = lc.kneser_adjacency(lc.KneserParams(v, k), caps.enum, caps.dim)
     degrees = adj.values.sum(axis=1)
-    rec.close("regular-degree", float(degrees.max()), comb(v - k, k), EXACT, _EXACT_TOL)
+    rec.close("regular-degree", float(degrees.max()), exact.kneser_degree(v, k), EXACT,
+              _EXACT_TOL)
     rec.close("degree-spread", float(degrees.max() - degrees.min()), 0.0, EXACT,
               _EXACT_TOL)
 
@@ -314,9 +317,8 @@ def _exp_prfs_hybrid(params, seed, caps, rec: _Recorder):
 def _exp_rank_attack(params, seed, caps, rec: _Recorder):
     pp = ps.PseudoParams(params["lam"], params["n"], params["ell"], params["t"])
     res = ps.rank_attack(pp, cap=caps.dim, enum_cap=caps.enum)
-    d = 2**pp.n
-    rank1_formula = comb(d + pp.ell - 1, pp.ell) * comb(d + pp.t - 1, pp.t)
-    rec.close("ideal-rank", res.rank1, rank1_formula, EXACT, _EXACT_TOL)
+    rec.close("ideal-rank", res.rank1, exact.ideal_rank(pp.n, pp.ell, pp.t), EXACT,
+              _EXACT_TOL)
     rec.close("accept-keyed", res.accept_pseudo, 1.0, EXACT, _PROB_TOL)
     rec.below("accept-ideal", res.accept_haar, res.rank0 / res.rank1, EXACT, _PROB_TOL)
     rec.below("rank-ratio-vs-formula", res.rank0 / res.rank1, res.ratio_bound,
@@ -345,11 +347,10 @@ def _exp_commit_complete(params, seed, caps, rec: _Recorder):
 def _exp_commit_fidelity(params, seed, caps, rec: _Recorder):
     lam, n = params["lam"], params["n"]
     worst = gap = 0.0
-    bound = 2.0 ** -(n - lam)
     RegisterShape((2**n,)).check_cap(caps.dim)  # before the Haar draws
     for s in range(_count(params, "haar_seeds")):
         common = ts.sample_haar(2**n, seed, stream=s)
-        F, _ = cm.fidelity_bound_check(lam, n, common, caps.dim)
+        F, bound = cm.fidelity_bound_check(lam, n, common, caps.dim)
         worst = max(worst, F)
         # independent reference: F = (sum_b sqrt(w_b))^2 / d over block weights
         amps = common.amplitudes
@@ -376,8 +377,8 @@ def _exp_commit_binding(params, seed, caps, rec: _Recorder):
     for strat in strategies:
         p0, p1 = cm.binding_sum(strat, common, cp, caps.dim)
         worst = max(worst, p0 + p1)
-    bound = 1.0 + ((1.0 + 2.0 ** (-(cp.n - cp.lam) / 2.0)) / 2.0) ** cp.p
-    rec.below("max-p0-plus-p1", worst, bound, EXACT, _PROB_TOL)
+    rec.below("max-p0-plus-p1", worst, exact.binding_bound(cp.lam, cp.n, cp.p), EXACT,
+              _PROB_TOL)
     rec.add("strategies-evaluated", len(strategies), None, EXACT, True)
 
 
@@ -385,11 +386,10 @@ def _exp_commit_hiding(params, seed, caps, rec: _Recorder):
     # the exact distance is governed by the key entropy, not by n, so the
     # per-n values are recorded without a trend verdict
     lam, p, t = params["lam"], params["p"], params["t"]
-    bound = p * (p + t) ** 2 / 2**lam
     for n in params["ns"]:
         td = cm.hiding_distance(cm.CommitmentParams(lam, n, p, t), caps.dim,
                                 caps.enum)
-        rec.add(f"trace-distance-n{n}", td, bound, EXACT, True)
+        rec.add(f"trace-distance-n{n}", td, exact.hiding_bound(lam, p, t), EXACT, True)
     if p == 1:
         zero = cm.hiding_distance(cm.CommitmentParams(lam, params["ns"][0], p, 0),
                                   caps.dim, caps.enum)
@@ -439,7 +439,7 @@ def _exp_prob_monotone(params, seed, caps, rec: _Recorder):
 # --------------------------------------------------------------------------
 
 def _exp_haar_moment_mc(params, seed, caps, rec: _Recorder):
-    d, t, samples = params["d"], params["t"], _count(params, "samples")
+    d, t, samples = params["d"], _count(params, "t"), _count(params, "samples")
     target = ts.haar_moment(d, t, caps.dim, caps.enum).values
     rng = stream_rng(seed, 0)
     acc = np.zeros(target.shape, dtype=np.complex128)  # sampled states are complex
@@ -459,11 +459,11 @@ def _exp_haar_overlap_mc(params, seed, caps, rec: _Recorder):
     rng = stream_rng(seed, 0)
     est = sum(float(np.sum(np.abs(block[:, 0]) ** 2))
               for block in _haar_blocks(d, samples, rng)) / samples
-    rec.close("mean-overlap", est, 1.0 / d, SAMPLED, _MC_ENTRY_TOL)
+    rec.close("mean-overlap", est, exact.haar_overlap(d), SAMPLED, _MC_ENTRY_TOL)
 
 
 def _exp_locc_advantage(params, seed, caps, rec: _Recorder):
-    d, t, trials = params["d"], params["t"], params["trials"]
+    d, t, trials = params["d"], _count(params, "t"), params["trials"]
     lp = lc.LoccParams(d, t, trials, seed)
     closed = lc.locc_advantage_closed_form(d, t)
     rec.add("closed-form", closed, None, EXACT, closed > 0.0)

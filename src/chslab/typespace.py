@@ -259,7 +259,8 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     the type-class projector :func:`sym_projector` over C(d+t-1, t), each
     class's value (1/|class|)/C(d+t-1, t) divided and scattered in
     float64, a real operator."""
-    moment = _class_scatter(d, t, cap, enum_cap, comb(d + t - 1, t))
+    count, _ = _type_rows(d, t, enum_cap)  # validates d and t first
+    moment = _class_scatter(d, t, cap, enum_cap, count)
     return Operator(RegisterShape((d,) * t), moment)
 
 

@@ -1,8 +1,13 @@
-"""Storage layering: only linalg may read ``Operator.entries``.
+"""Module layering.
 
-Everything else reads ``Operator.values``, so a change to how operators
-are stored touches linalg alone, and no library path makes a real
-operator's complex128 copy.
+Storage: only linalg may read ``Operator.entries``.  Everything else reads
+``Operator.values``, so a change to how operators are stored touches
+linalg alone, and no library path makes a real operator's complex128 copy.
+
+Closed forms: ``exact`` imports only the standard library's exact
+arithmetic, so a closed form shares no code with the numeric construction
+it is checked against, and it is the one module besides typespace that
+works in ``fractions``.
 """
 
 import ast
@@ -26,6 +31,25 @@ def test_only_linalg_reads_entries():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert readers == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "").split(".")[0])
+    return names
+
+
+def test_exact_imports_only_exact_arithmetic():
+    paths = {p.name: p for p in Path(chslab.__file__).parent.glob("*.py")}
+    assert _imported_modules(paths["exact.py"]) <= {
+        "__future__", "fractions", "math", "itertools"}
+    assert {name for name, path in paths.items()
+            if "fractions" in _imported_modules(path)} == {"exact.py", "typespace.py"}
 
 
 def test_no_library_path_promotes_a_real_operator(monkeypatch):

@@ -369,13 +369,13 @@ class TestPptChain:
         # block count, so a zero block split into 1x1 blocks would hide from
         # a spy on numpy's solver
         solved = []
-        solver = locc._eigvalsh
+        solver = locc._spectrum
 
         def record(m):
             solved.append(np.asarray(m))
             return solver(m)
 
-        monkeypatch.setattr(locc, "_eigvalsh", record)
+        monkeypatch.setattr(locc, "_spectrum", record)
         ppt_diff_norm(d, t)
         # no solver call sees an all-zero matrix: the j = 0 block (disjoint
         # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is never

@@ -97,6 +97,10 @@ class TestRegistry:
         ("good-type-prob", {"trials": 0}), ("good-type-prob", {"trials": -1}),
         ("commit-complete", {"haar_seeds": 0}), ("commit-fidelity", {"haar_seeds": 0}),
         ("haar-moment-mc", {"samples": 0}), ("haar-overlap-mc", {"samples": 0}),
+        # copy counts: t = 0 used to crash on a broadcast or a division by
+        # zero, and t = -1 in comb before the moment validated it
+        ("haar-moment-mc", {"t": 0}), ("haar-moment-mc", {"t": -1}),
+        ("locc-advantage", {"t": 0}),
     ])
     def test_count_below_one_is_an_error_row(self, name, params):
         # each of these used to record a verdict, or crash, without drawing
@@ -194,9 +198,13 @@ class TestRegistry:
         ("haar-overlap-mc", {"d": 2**62}, "error-DimensionOverflow"),
         # (2^40)^3 amplitudes for the rebuilt type state
         ("bipartition", {"d": 2**40}, "error-DimensionOverflow"),
+        # negative sizes, which raised TypeError (2**-1 is a float)
+        ("onewayness", {"n": -1}, "error-ParameterError"),
+        ("onewayness", {"m": -1}, "error-ParameterError"),
+        ("commit-fidelity", {"lam": -1}, "error-ParameterError"),
     ])
     def test_out_of_range_size_is_an_error_row(self, name, params, error):
-        # each of these used to crash run() with numpy's ValueError
+        # each of these used to crash run() with a numpy or Python exception
         report = run(ExperimentConfig(name, params))
         assert [c.name for c in report.checks] == [error]
         assert not report.passed
