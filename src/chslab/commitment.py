@@ -32,8 +32,7 @@ from .linalg import (
     partial_trace,
 )
 from .pseudo import _hybrid, _labels_agree, _phases
-from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, haar_states_block
+from .typespace import DEFAULT_ENUM_CAP
 
 # dimension of the environment register E of a malicious sender's strategy
 _ENV_DIM = 2
@@ -48,8 +47,7 @@ __all__ = [
     "fidelity_bound_check",
     "binding_sum",
     "honest_strategy",
-    "commit_one_open_both_strategy",
-    "random_strategy",
+    "optimal_attack",
 ]
 
 
@@ -194,49 +192,67 @@ class MaliciousSender:
         return self.u1 if b else self.u0
 
 
-def _interleaved_to_grouped(pair_amps: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Reorder (C_1 R_1 ... C_p R_p) amplitudes to (C_1..C_p, R_1..R_p)."""
-    legs = pair_amps.reshape((d,) * (2 * p))
-    order = [2 * i for i in range(p)] + [2 * i + 1 for i in range(p)]
-    return legs.transpose(order).reshape(-1)
+def _pair_amplitudes(b: int, common: StateVector, cp: CommitmentParams,
+                     cap: int) -> np.ndarray:
+    """The pair state of bit ``b`` as its d x d (C, R) amplitude matrix."""
+    d = 2**cp.n
+    pair = commit_pair_state(b, common, cp, cap)
+    RegisterShape((d,) * (2 * cp.p)).check_cap(cap)
+    return pair.amplitudes.reshape(d, d)
+
+
+def _kron_power(m: np.ndarray, p: int) -> np.ndarray:
+    """m^(x)p; for a (C, R) amplitude matrix this is the p-fold state with
+    its registers grouped as (C_1..C_p, R_1..R_p)."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(p):
+        out = np.kron(out, m)
+    return out
+
+
+def _sender(grouped: np.ndarray, u_r0: np.ndarray, u_r1: np.ndarray,
+            d: int, p: int) -> MaliciousSender:
+    """Commit to the (C, R) amplitude matrix ``grouped`` with E in |0>, and
+    reveal b with ``u_rb`` on R and the identity on E."""
+    env = np.zeros(_ENV_DIM, dtype=np.complex128)
+    env[0] = 1.0
+    shape = RegisterShape((d,) * (2 * p) + (_ENV_DIM,))
+    initial = StateVector(shape, np.kron(grouped.reshape(-1), env))
+    eye_e = np.eye(_ENV_DIM)
+    return MaliciousSender(initial, np.kron(u_r0, eye_e), np.kron(u_r1, eye_e))
 
 
 def honest_strategy(b: int, common: StateVector, cp: CommitmentParams,
                     cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
     """Commit honestly to ``b`` and reveal without touching the registers."""
     d = 2**cp.n
-    grouped = _interleaved_to_grouped(commit_state(b, common, cp, cap).amplitudes,
-                                      cp.p, d)
-    env = np.zeros(_ENV_DIM, dtype=np.complex128)
-    env[0] = 1.0
-    shape = RegisterShape((d,) * (2 * cp.p) + (_ENV_DIM,))
-    initial = StateVector(shape, np.kron(grouped, env))
-    eye = np.eye(d**cp.p * _ENV_DIM)
-    return MaliciousSender(initial, eye, eye)
+    eye = np.eye(d**cp.p)
+    return _sender(_kron_power(_pair_amplitudes(b, common, cp, cap), cp.p), eye, eye,
+                   d, cp.p)
 
 
-def commit_one_open_both_strategy(common: StateVector, cp: CommitmentParams,
-                                  cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
-    """Commit to the b = 1 state and claim either bit at reveal time."""
-    return honest_strategy(1, common, cp, cap)
+def optimal_attack(common: StateVector, cp: CommitmentParams,
+                   cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
+    """The sender that maximises p0 + p1 at p = 1.
 
-
-def random_strategy(common: StateVector, cp: CommitmentParams, seed: int,
-                    cap: int = DEFAULT_DIM_CAP) -> MaliciousSender:
-    """Haar-random initial state with independent Haar reveal unitaries."""
+    With A_b the (C, R) amplitude matrix of the pair state psi_b and
+    A_0^H A_1 = U S V^H, the unitary W = conj(U V^H) on R gives
+    <psi_0|(I (x) W)|psi_1> = Tr S = sqrt(F(rho_0, rho_1)) for the commit
+    register marginals rho_b (Uhlmann).  The sender commits to the
+    normalised sum psi_0 + (I (x) W) psi_1, reveals 0 untouched and 1 with
+    W^dag, and so reaches p0 + p1 = 1 + (1 + sqrt F)/2, which the two-state
+    lemma shows no sender exceeds (:func:`chslab.exact.binding_optimum`).
+    For p > 1 the same construction runs on the p-fold states with W^(x)p;
+    its value is then only a lower bound on the optimum.
+    """
     d = 2**cp.n
-    rng = stream_rng(seed, 0)
-    shape = RegisterShape((d,) * (2 * cp.p) + (_ENV_DIM,))
-    initial = StateVector(shape, haar_states_block(shape.total, 1, rng)[0])
-
-    dim_re = d**cp.p * _ENV_DIM
-    us = []
-    for _ in range(2):
-        z = rng.standard_normal((dim_re, dim_re)) + 1j * rng.standard_normal((dim_re, dim_re))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        us.append(q)
-    return MaliciousSender(initial, us[0], us[1])
+    a0, a1 = (_pair_amplitudes(b, common, cp, cap) for b in (0, 1))
+    u, _, vh = np.linalg.svd(a0.conj().T @ a1)
+    w = _kron_power((u @ vh).conj(), cp.p)
+    # (I (x) W) acts on the amplitude matrix from the right, as W^T
+    pair_sum = _kron_power(a0, cp.p) + _kron_power(a1, cp.p) @ w.T
+    return _sender(pair_sum / np.linalg.norm(pair_sum), np.eye(d**cp.p), w.conj().T,
+                   d, cp.p)
 
 
 def binding_sum(strategy: MaliciousSender, common: StateVector,

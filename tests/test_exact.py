@@ -2,7 +2,7 @@
 dense constructions they replace, and each other."""
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, prod, ulp
 
 import pytest
 
@@ -66,6 +66,19 @@ def test_rank_ratio_bound_matches_the_binomial_form():
         assert exact.ideal_rank(n, ell, t) == comb(d + ell - 1, ell) * comb(d + t - 1, t)
 
 
+def test_binding_optimum_ends_and_the_bound():
+    # F = 0: one reveal is certain and the other is the swap test's 1/2;
+    # F = 1: both reveals are certain
+    assert exact.binding_optimum(0.0) == 1.5
+    assert exact.binding_optimum(1.0) == 2.0
+    assert exact.binding_optimum(0.25) == 1.75
+    # at the fidelity bound 2^-(n-lam) the optimum is the p = 1 binding bound
+    for lam, n in [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (1, 4), (3, 8), (0, 9)]:
+        optimum = exact.binding_optimum(float(exact.fidelity_bound(lam, n)))
+        bound = exact.binding_bound(lam, n, 1)
+        assert abs(optimum - bound) <= ulp(bound), (lam, n)
+
+
 @pytest.mark.parametrize("call", [
     lambda: exact.collision_advantage(3, 2),
     lambda: exact.collision_advantage(0, 0),
@@ -80,6 +93,9 @@ def test_rank_ratio_bound_matches_the_binomial_form():
     lambda: exact.fidelity_bound(-1, 2),
     lambda: exact.fidelity_bound(2, 2),
     lambda: exact.binding_bound(1, 1, 1),
+    lambda: exact.binding_optimum(-1e-300),
+    lambda: exact.binding_optimum(1.0000000000000002),
+    lambda: exact.binding_optimum(float("nan")),
     lambda: exact.symmetric_dimension(0, 1),
     lambda: exact.bipartition_pairs(2, 3),
     lambda: exact.slack_reference(0, 1),

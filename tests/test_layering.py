@@ -8,6 +8,9 @@ Closed forms: ``exact`` imports only the standard library's exact
 arithmetic, so a closed form shares no code with the numeric construction
 it is checked against, and it is the one module besides typespace that
 works in ``fractions``.
+
+Randomness: ``commitment`` constructs its senders and draws nothing; the
+Haar-random senders are a test oracle (``tests/senders.py``).
 """
 
 import ast
@@ -50,6 +53,27 @@ def test_exact_imports_only_exact_arithmetic():
         "__future__", "fractions", "math", "itertools"}
     assert {name for name, path in paths.items()
             if "fractions" in _imported_modules(path)} == {"exact.py", "typespace.py"}
+
+
+def test_commitment_draws_no_randomness():
+    path = Path(chslab.__file__).parent / "commitment.py"
+    tree = ast.parse(path.read_text(), str(path))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            sep = "" if package.endswith(".") else "."
+            modules |= {package} | {package + sep + alias.name for alias in node.names}
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert {".linalg", ".exact"} <= modules
+    assert not modules & {".rng", "chslab.rng"}, sorted(modules)
+    assert not names & {"haar_states_block", "stream_rng"}
 
 
 def test_no_library_path_promotes_a_real_operator(monkeypatch):

@@ -2,11 +2,15 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chslab import commitment as cm
+from chslab import exact
 from chslab import locc as lc
+from chslab import registry
 from chslab import typespace as ts
 from chslab.cli import load_config, main
 from chslab.errors import ConfigInvalid
@@ -251,6 +255,67 @@ class TestRegistry:
         assert derive_seed(0, 3) == derive_seed(0, 3)
         assert derive_seed(0, 3) != derive_seed(0, 4)
         assert derive_seed(0, 3) != derive_seed(1, 3)
+
+
+def _scaled(fn, factor):
+    return lambda *args: fn(*args) * factor
+
+
+def _p0_scaled(fn, factor):
+    def mutant(*args):
+        p0, p1 = fn(*args)
+        return p0 * factor, p1
+    return mutant
+
+
+class TestMutants:
+    """A wrong library value fails exactly the row that checks it, at the
+    experiment's defaults."""
+
+    ROWS = {
+        "commit-binding": ["max-p0-plus-p1", "optimum-vs-closed-form"],
+        "onewayness": ["overlap-value"],
+        "rank-attack": ["ideal-rank", "accept-keyed", "accept-ideal",
+                        "rank-ratio-vs-formula"],
+    }
+
+    @pytest.mark.parametrize("experiment,module,attr,mutate,row", [
+        pytest.param("commit-binding", exact, "binding_bound",
+                     lambda f: _scaled(f, 0.25), "max-p0-plus-p1", id="binding-bound"),
+        pytest.param("commit-binding", cm, "binding_sum",
+                     lambda f: _p0_scaled(f, 1 + 1e-12), "optimum-vs-closed-form",
+                     id="binding-sum"),
+        pytest.param("commit-binding", registry, "_block_fidelity",
+                     lambda f: _scaled(f, 1 + 1e-12), "optimum-vs-closed-form",
+                     id="block-fidelity"),
+        # both pass at the old defaults (n=1, m=1) and (2, 2, 1, 2), whose
+        # bounds 1 and 2 are above anything the rows measure
+        pytest.param("onewayness", exact, "onewayness_bound",
+                     lambda f: _scaled(f, Fraction(3, 4)), "overlap-value",
+                     id="onewayness-bound"),
+        pytest.param("rank-attack", exact, "rank_ratio_bound",
+                     lambda f: _scaled(f, Fraction(2, 3)), "rank-ratio-vs-formula",
+                     id="rank-ratio-bound"),
+    ])
+    def test_mutant_fails_its_row(self, monkeypatch, experiment, module, attr, mutate,
+                                  row):
+        clean = run(ExperimentConfig(experiment, seed=7))
+        assert [c.name for c in clean.checks] == self.ROWS[experiment]
+        assert clean.passed
+        monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+        report = run(ExperimentConfig(experiment, seed=7))
+        assert [c.name for c in report.checks] == self.ROWS[experiment]
+        assert [c.name for c in report.checks if not c.passed] == [row]
+
+    def test_commit_binding_at_two_pairs_has_no_equality_row(self):
+        # the p-fold construction is only a lower bound on the optimum
+        report = run(ExperimentConfig("commit-binding", {"p": 2}, seed=7))
+        assert [c.name for c in report.checks] == ["max-p0-plus-p1"]
+        assert report.passed
+
+    def test_commit_binding_samples_no_senders(self):
+        with pytest.raises(ConfigInvalid):
+            run(ExperimentConfig("commit-binding", {"random_strategies": 20}))
 
 
 class TestSuiteRun:
