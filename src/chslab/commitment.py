@@ -6,9 +6,9 @@ committed states are
     b = 0:  2^(-lam/2) sum_k (Z^k (x) I) |common>  |k || 0^(n-lam)>
     b = 1:  2^(-n/2)   sum_j |j> |j>
 
-and the receiver's accept-all-swap-tests measurement is the product POVM
-element M_b = prod_i (I + |psi_b><psi_b|) / 2.  Acceptance probabilities
-are evaluated analytically from M_b rather than by sampling circuits.
+and the receiver's accept-all-swap-tests measurement is M_b = A_b^(x)p with
+A_b = (I + |psi_b><psi_b|) / 2.  Acceptance probabilities are exact: A_b is
+contracted pair by pair through psi_b alone, so neither M_b nor A_b is built.
 
 Register layouts: commitment states interleave pairs as (C_1 R_1 ... C_p R_p);
 malicious-sender states group blocks as (C_1..C_p, R_1..R_p, E).
@@ -16,7 +16,6 @@ malicious-sender states group blocks as (C_1..C_p, R_1..R_p, E).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .linalg import (
     RegisterShape,
     StateVector,
     fidelity,
-    partial_trace,
 )
 from .pseudo import _hybrid, _labels_agree, _phases
 from .typespace import DEFAULT_ENUM_CAP
@@ -89,43 +87,43 @@ def commit_pair_state(b: int, common: StateVector, cp: CommitmentParams,
     return StateVector(shape, amps)
 
 
+def _kron_power(m: np.ndarray, p: int) -> np.ndarray:
+    """m^(x)p: for a pair's amplitude row, the p-fold state interleaved as
+    (C_1 R_1 ... C_p R_p); for its d x d (C, R) matrix, grouped (C_1..C_p, R_1..R_p)."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(p):
+        out = np.kron(out, m)
+    return out
+
+
 def commit_state(b: int, common: StateVector, cp: CommitmentParams,
                  cap: int = DEFAULT_DIM_CAP) -> StateVector:
     """Tensor power over the p pairs, interleaved as (C_1 R_1 ... C_p R_p)."""
     pair = commit_pair_state(b, common, cp, cap)
     d = 2**cp.n
-    RegisterShape((d,) * (2 * cp.p)).check_cap(cap)
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(cp.p):
-        amps = np.kron(amps, pair.amplitudes)
-    return StateVector(RegisterShape((d,) * (2 * cp.p)), amps)
+    shape = RegisterShape((d,) * (2 * cp.p)).check_cap(cap)
+    return StateVector(shape, _kron_power(pair.amplitudes[None], cp.p)[0])
 
 
 def receiver_accept_prob(b: int, claimed: Operator, common: StateVector,
                          cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> float:
     """Probability that all p swap tests accept the claimed (C, R) state.
 
-    Evaluates Tr(M_b claimed) through the subset expansion of the product
-    POVM element, so the full 4^(np)-dimensional M_b is never materialised.
+    Evaluates Tr(M_b claimed) pair by pair: tracing A_b against the first
+    remaining (row, column) pair is half its partial trace plus half its
+    psi_b sandwich, and leaves an array d^4 times smaller.
     """
     d = 2**cp.n
     if claimed.shape.dims != (d,) * (2 * cp.p):
         raise ShapeMismatch(
             f"claimed state must live on {(d,) * (2 * cp.p)}, got {claimed.shape.dims}")
-    pair = commit_pair_state(b, common, cp, cap)
-    total = 0.0
-    for subset in itertools.product((False, True), repeat=cp.p):
-        kept = [r for i in range(cp.p) if subset[i] for r in (2 * i, 2 * i + 1)]
-        if not any(subset):
-            term = float(np.real(claimed.trace()))
-        else:
-            reduced = partial_trace(claimed, kept)
-            vec = np.ones(1, dtype=np.complex128)
-            for _ in range(sum(subset)):
-                vec = np.kron(vec, pair.amplitudes)
-            term = float(np.real(vec.conj() @ reduced.values @ vec))
-        total += term
-    return total / 2**cp.p
+    psi = commit_pair_state(b, common, cp, cap).amplitudes
+    rest = claimed.values.reshape((d * d,) * (2 * cp.p))
+    for left in range(cp.p, 0, -1):  # row pair on axis 0, its column pair on axis left
+        bra = np.tensordot(psi.conj(), rest, axes=(0, 0))  # column pair now on left - 1
+        rest = (np.trace(rest, axis1=0, axis2=left)
+                + np.tensordot(bra, psi, axes=(left - 1, 0))) / 2
+    return float(np.real(rest))
 
 
 def hiding_distance(cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP,
@@ -201,15 +199,6 @@ def _pair_amplitudes(b: int, common: StateVector, cp: CommitmentParams,
     return pair.amplitudes.reshape(d, d)
 
 
-def _kron_power(m: np.ndarray, p: int) -> np.ndarray:
-    """m^(x)p; for a (C, R) amplitude matrix this is the p-fold state with
-    its registers grouped as (C_1..C_p, R_1..R_p)."""
-    out = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(p):
-        out = np.kron(out, m)
-    return out
-
-
 def _sender(grouped: np.ndarray, u_r0: np.ndarray, u_r1: np.ndarray,
             d: int, p: int) -> MaliciousSender:
     """Commit to the (C, R) amplitude matrix ``grouped`` with E in |0>, and
@@ -259,8 +248,9 @@ def binding_sum(strategy: MaliciousSender, common: StateVector,
                 cp: CommitmentParams, cap: int = DEFAULT_DIM_CAP) -> tuple[float, float]:
     """Acceptance probabilities (p0, p1) of the two reveals of one commit.
 
-    p_b = Tr(M_b Tr_E(U_b |Phi><Phi| U_b^dag)), evaluated by contracting the
-    per-pair projections against the pure attacked state.
+    p_b = <Phi_b| A_b^(x)p (x) I_E |Phi_b> for Phi_b = U_b Phi, regrouped as
+    (E, C_1 R_1, ..., C_p R_p): A_b x = (x + psi_b <psi_b|x>) / 2 is applied
+    pair by pair, then one vdot.
     """
     d = 2**cp.n
     p = cp.p
@@ -273,24 +263,17 @@ def binding_sum(strategy: MaliciousSender, common: StateVector,
     if strategy.u0.shape != (dim_re, dim_re):
         raise ShapeMismatch(f"reveal unitaries must act on (R, E), dim {dim_re}")
 
+    # (C_1..C_p, R_1..R_p, E) -> (E, C_1, R_1, ..., C_p, R_p)
+    pairs = [2 * p] + [axis for i in range(p) for axis in (i, p + i)]
+    mat = strategy.initial.amplitudes.reshape(d**p, dim_re)
     probs = []
     for b in (0, 1):
-        pair = commit_pair_state(b, common, cp, cap).amplitudes.reshape(d, d)
-        mat = strategy.initial.amplitudes.reshape(d**p, dim_re)
-        attacked = (mat @ strategy.unitary(b).T).reshape((d,) * (2 * p) + (env_dim,))
-        total = 0.0
-        for subset in itertools.product((False, True), repeat=p):
-            # project pair i onto |psi_b> for i in the subset, then take the
-            # squared norm of what remains (the identity legs plus E)
-            legs = attacked
-            contracted = 0
-            for i in range(p):
-                if not subset[i]:
-                    continue
-                c_axis = i - contracted
-                r_axis = (p - contracted) + (i - contracted)
-                legs = np.tensordot(pair.conj(), legs, axes=([0, 1], [c_axis, r_axis]))
-                contracted += 1
-            total += float(np.vdot(legs, legs).real)
-        probs.append(total / 2**p)
+        psi = commit_pair_state(b, common, cp, cap).amplitudes
+        attacked = (mat @ strategy.unitary(b).T).reshape(expected)
+        attacked = attacked.transpose(pairs).reshape((env_dim,) + (d * d,) * p)
+        legs = attacked
+        for _ in range(p):  # A_b on the next unapplied pair (axis 1); it comes back last
+            overlap = np.tensordot(legs, psi.conj(), axes=(1, 0))
+            legs = (np.moveaxis(legs, 1, -1) + overlap[..., None] * psi) / 2
+        probs.append(float(np.vdot(attacked, legs).real))
     return probs[0], probs[1]

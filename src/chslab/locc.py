@@ -51,7 +51,7 @@ from .linalg import (
     trace_norm,
 )
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, _urn_draws, haar_moment
+from .typespace import DEFAULT_ENUM_CAP, _fold_good, _ideal_state, _urn_draws, haar_moment
 
 _MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
@@ -98,9 +98,10 @@ class LoccParams:
 
 
 def _subset_members(d: int, t: int) -> np.ndarray:
-    """0/1 membership rows of the t-subsets of [d], lexicographic order."""
+    """0/1 membership rows of the t-subsets of [d], lexicographic order; float64, so
+    their Gram product runs in BLAS, and its counts (at most t) are exact."""
     subsets = np.array(list(itertools.combinations(range(d), t)), dtype=np.intp)
-    member = np.zeros((len(subsets), d), dtype=np.int16)
+    member = np.zeros((len(subsets), d))
     np.put_along_axis(member, subsets, 1, axis=1)
     return member
 
@@ -156,11 +157,6 @@ def locc_advantage_closed_form(d: int, t: int) -> float:
     if t < 0 or d < 2 * t or d < 1:
         raise ParameterError(f"need d >= 2t >= 0, got d={d}, t={t}")
     return float(exact.collision_advantage(d, t))
-
-
-def _all_distinct(outcomes: np.ndarray) -> np.ndarray:
-    srt = np.sort(outcomes, axis=1)
-    return (np.diff(srt, axis=1) != 0).all(axis=1)
 
 
 def _fresh_and_distinct(fresh: list[np.ndarray], ok: np.ndarray,
@@ -341,7 +337,8 @@ def _subset_surrogates(d: int, t: int, rho: Operator,
     rescaling gives the mixtures: rho~ = rho mask C(d+2t-1,2t) / C(d,2t)
     and sigma~ = sigma mask C(d+t-1,t)^2 / (C(d,t) C(d-t,t)).
     """
-    distinct = _all_distinct(np.indices((d,) * (2 * t)).reshape(2 * t, -1).T)[:, None]
+    rows = np.indices((d,) * (2 * t)).reshape(2 * t, -1).T
+    distinct = _fold_good(rows, 0, 1)[:, None]  # single-element folds: distinct digits
     scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
     scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
     return (Operator(rho.shape, rho.values * (distinct * scale_rho)),
@@ -368,10 +365,8 @@ def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
         return PptVsHaarResult(advantage, chain.exact / 2.0, None, None, None,
                                slack_reference)
 
-    shape = RegisterShape((d,) * (2 * t))
-    rho = haar_moment(d, 2 * t, cap)
-    sig_half = haar_moment(d, t, cap).values
-    sigma = Operator(shape, np.kron(sig_half, sig_half))
+    rho = haar_moment(d, 2 * t, cap, enum_cap)
+    sigma = _ideal_state(d, [range(t), range(t, 2 * t)], cap, enum_cap)
     b_regs = range(t, 2 * t)
     half_true = trace_distance(partial_transpose(rho, b_regs),
                                partial_transpose(sigma, b_regs))

@@ -33,11 +33,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, StateVector, \
-    _ascending, _psd_eigh, numeric_rank, permute_registers, pinv_sqrt, trace_distance
+    _ascending, _psd_eigh, numeric_rank, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
     TypeVector,
+    _ideal_state,
     _type_classes,
     haar_moment,
     is_l_fold_prefix_collision_free,
@@ -382,36 +383,6 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
         rows, cols = (pairs[agree] for pairs in np.broadcast_arrays(rows, cols))
         out[rows, cols] = moment[rows, cols]
     return Operator(RegisterShape((d,) * total), out)
-
-
-def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
-    """One independent Haar moment per register group, in register order:
-    the Kronecker product of the moments, a real operator.
-
-    The product is scattered from the moments' nonzeros: the entry at the
-    combined row and column is their product, taken left to right as
-    ``np.kron`` takes it, and every other entry is zero.
-    """
-    rows = cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1)
-    dim = 1
-    order: list[int] = []
-    for regs in groups:
-        if len(regs):
-            moment = haar_moment(d, len(regs), cap, enum_cap).values
-            r, c = np.nonzero(moment)
-            rows = (rows[:, None] * len(moment) + r).ravel()
-            cols = (cols[:, None] * len(moment) + c).ravel()
-            vals = (vals[:, None] * moment[r, c]).ravel()
-            dim *= len(moment)
-            order.extend(int(reg) for reg in regs)
-    entries = np.zeros((dim, dim))
-    entries[rows, cols] = vals
-    grouped = Operator(RegisterShape((d,) * len(order)), entries)
-    if order == sorted(order):
-        return grouped
-    # grouped register g holds register order[g]
-    return permute_registers(grouped, np.argsort(order))
 
 
 def _hybrid(d: int, suffix_shift: int, charges, groups, cap: int,

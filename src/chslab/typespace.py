@@ -14,7 +14,8 @@ lexicographic on the sorted element tuple.  The flat indices of
 multiset (:func:`_type_classes`).  The symmetric projector and the Haar
 moment are zero outside those classes' index pairs, so both are scattered
 into a zero matrix, one value per class size: a 1024-square moment has
-2016 nonzero entries at (d, t) = (32, 2).
+2016 nonzero entries at (d, t) = (32, 2).  Products of independent moments
+are scattered the same way from their nonzeros (:func:`_ideal_state`).
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
 tests arrays of element rows at once by pairwise scans over one contiguous
@@ -41,7 +42,8 @@ from .errors import (
     NotCollisionFree,
     ParameterError,
 )
-from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, _label_groups
+from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
+    _label_groups, permute_registers
 from .rng import stream_rng
 
 __all__ = [
@@ -262,6 +264,36 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     count, _ = _type_rows(d, t, enum_cap)  # validates d and t first
     moment = _class_scatter(d, t, cap, enum_cap, count)
     return Operator(RegisterShape((d,) * t), moment)
+
+
+def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
+    """One independent Haar moment per register group, in register order:
+    the Kronecker product of the moments, a real operator.
+
+    The product is scattered from the moments' nonzeros: the entry at the
+    combined row and column is their product, taken left to right as
+    ``np.kron`` takes it, and every other entry is zero.
+    """
+    rows = cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1)
+    dim = 1
+    order: list[int] = []
+    for regs in groups:
+        if len(regs):
+            moment = haar_moment(d, len(regs), cap, enum_cap).values
+            r, c = np.nonzero(moment)
+            rows = (rows[:, None] * len(moment) + r).ravel()
+            cols = (cols[:, None] * len(moment) + c).ravel()
+            vals = (vals[:, None] * moment[r, c]).ravel()
+            dim *= len(moment)
+            order.extend(int(reg) for reg in regs)
+    entries = np.zeros((dim, dim))
+    entries[rows, cols] = vals
+    grouped = Operator(RegisterShape((d,) * len(order)), entries)
+    if order == sorted(order):
+        return grouped
+    # grouped register g holds register order[g]
+    return permute_registers(grouped, np.argsort(order))
 
 
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

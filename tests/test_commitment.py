@@ -129,6 +129,19 @@ class TestReceiverAcceptProb:
             assert receiver_accept_prob(b, claimed, common, cp) == pytest.approx(
                 expected, abs=1e-12)
 
+    def test_matches_dense_povm_oracle_at_three_pairs(self):
+        cp = CommitmentParams(0, 1, 3)
+        common = sample_haar(2, seed=19)
+        rng = stream_rng(20)
+        z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        m = z @ z.conj().T
+        claimed = Operator(RegisterShape((2,) * 6), m / np.trace(m))
+        for b in (0, 1):
+            dense = dense_accept_povm(b, common, cp)
+            expected = float(np.real(np.trace(dense @ claimed.entries)))
+            assert receiver_accept_prob(b, claimed, common, cp) == pytest.approx(
+                expected, rel=0, abs=1e-14)
+
     def test_povm_element_is_valid(self):
         cp = CommitmentParams(1, 2, 2)
         common = sample_haar(4, seed=8)
@@ -241,6 +254,25 @@ class TestBindingSum:
                 dense = np.kron(dense_accept_povm(b, common, cp), np.eye(env))
                 assert float(np.real(np.trace(dense @ rho))) == pytest.approx(
                     expect, abs=1e-12)
+
+    def test_matches_dense_povm_oracle_at_three_pairs(self):
+        # the sender's state is grouped (C_1..C_3, R_1..R_3, E); the dense
+        # M_b acts on the interleaved (C_1 R_1 C_2 R_2 C_3 R_3)
+        d, p = 2, 3
+        cp = CommitmentParams(0, 1, p)
+        common = sample_haar(d, seed=21)
+        interleave = [axis for i in range(p) for axis in (i, p + i)] + [2 * p]
+        for strat in (random_strategy(common, cp, seed=22), optimal_attack(common, cp),
+                      honest_strategy(1, common, cp)):
+            env = strat.initial.shape.dims[-1]
+            mat = strat.initial.amplitudes.reshape(d**p, d**p * env)
+            dense_env = [np.kron(dense_accept_povm(b, common, cp), np.eye(env))
+                         for b in (0, 1)]
+            for b, expect in zip((0, 1), binding_sum(strat, common, cp)):
+                attacked = (mat @ strat.unitary(b).T).reshape((d,) * (2 * p) + (env,))
+                vec = attacked.transpose(interleave).reshape(-1)
+                assert float(np.real(np.vdot(vec, dense_env[b] @ vec))) == pytest.approx(
+                    expect, rel=0, abs=1e-14)
 
     def test_rejects_non_unitary(self):
         cp = CommitmentParams(1, 2, 1)

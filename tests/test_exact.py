@@ -33,12 +33,12 @@ def test_collision_advantage_matches_the_urn_derivation():
 
 def test_kneser_one_norm_matches_the_dense_spectrum():
     # every (v, k) with C(v, k) <= 500, v = 2k included, except that the
-    # complete graphs K(v, 1) stop at v = 64: the 436 larger ones, dense up
-    # to 500 x 500, would cost this file some fifty times its run time and
-    # test the same 2(v-1)
+    # complete graphs K(v, 1) stop at v = 200: those up to 200 take 0.17 s
+    # (one BLAS thread), and the 300 larger ones, dense up to 500 x 500,
+    # would take 2.4 s more to test the same 2(v-1)
     checked = []
     for k in range(1, 250):
-        for v in range(2 * k, 65 if k == 1 else 501):
+        for v in range(2 * k, 201 if k == 1 else 501):
             if comb(v, k) > 500:
                 break
             dense = trace_norm(kneser_adjacency(KneserParams(v, k)))

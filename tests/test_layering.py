@@ -11,6 +11,10 @@ works in ``fractions``.
 
 Randomness: ``commitment`` constructs its senders and draws nothing; the
 Haar-random senders are a test oracle (``tests/senders.py``).
+
+One construction per fact: ``commitment`` contracts the swap-test factor
+pair by pair and expands no subsets, and ``locc`` takes its independent
+product from ``typespace`` without importing ``pseudo``.
 """
 
 import ast
@@ -74,6 +78,33 @@ def test_commitment_draws_no_randomness():
     assert {".linalg", ".exact"} <= modules
     assert not modules & {".rng", "chslab.rng"}, sorted(modules)
     assert not names & {"haar_states_block", "stream_rng"}
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every module a file imports and every name it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_commitment_expands_no_subsets():
+    names = _imported_names(Path(chslab.__file__).parent / "commitment.py")
+    assert {".linalg", "numpy", "fidelity"} <= names
+    assert not names & {"itertools", "partial_trace"}, sorted(names)
+
+
+def test_locc_does_not_import_pseudo():
+    # importing pseudo, and chslab.exact with it, would add about 9 ms to
+    # every fresh process that runs only the collision tester
+    # (python -X importtime)
+    names = _imported_names(Path(chslab.__file__).parent / "locc.py")
+    assert {".typespace", "_ideal_state"} <= names
+    assert not names & {".pseudo", "chslab.pseudo", "pseudo"}, sorted(names)
 
 
 def test_no_library_path_promotes_a_real_operator(monkeypatch):

@@ -20,7 +20,6 @@ from chslab.locc import (
     locc_advantage_mc,
     ppt_diff_norm,
     ppt_vs_haar_bound,
-    _all_distinct,
     _mc_block,
     _ppt_blocks,
     _subset_overlaps,
@@ -34,6 +33,12 @@ from chslab.typespace import (
     haar_moment,
     type_state,
 )
+
+
+def all_distinct(outcomes):
+    """Per row: True iff its entries are pairwise distinct, by sorting."""
+    srt = np.sort(outcomes, axis=1)
+    return (np.diff(srt, axis=1) != 0).all(axis=1)
 
 
 class TestKneser:
@@ -165,7 +170,7 @@ class TestMonteCarlo:
         rng = stream_rng(seed, (stream, block))
         shared = _urn_outcomes(rows, d, 2 * t, rng)
         both = np.concatenate([shared[:, :t], _urn_outcomes(rows, d, t, rng)], axis=1)
-        want = (int(_all_distinct(shared).sum()), int(_all_distinct(both).sum()))
+        want = (int(all_distinct(shared).sum()), int(all_distinct(both).sum()))
         assert 0 < want[0] and want[1] < rows  # both verdicts occur
         assert _mc_block(seed, stream, block, rows, d, t) == want
 
@@ -394,6 +399,33 @@ class TestPptChain:
         np.testing.assert_allclose(rho_tilde.entries, rho_oracle, rtol=0, atol=1e-15)
         np.testing.assert_allclose(sigma_tilde.entries, sigma_oracle, rtol=0,
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("d,t", [(2, 1), (4, 1), (4, 2), (5, 2)])
+    def test_surrogate_mask_is_the_distinct_digit_rows(self, d, t):
+        # the moment's diagonal is positive, so the surrogate's diagonal is
+        # nonzero exactly on the rows the mask keeps
+        rho = haar_moment(d, 2 * t)
+        rho_tilde, _ = _subset_surrogates(d, t, rho, rho)
+        rows = np.indices((d,) * (2 * t)).reshape(2 * t, -1).T
+        assert rho.values.diagonal().all()
+        np.testing.assert_array_equal(rho_tilde.values.diagonal() != 0,
+                                      all_distinct(rows))
+
+    @pytest.mark.parametrize("d,t", [(6, 1), (5, 2), (6, 2), (7, 2)])
+    def test_independent_pair_is_the_kron_of_the_moments(self, monkeypatch, d, t):
+        seen = []
+        surrogates = locc._subset_surrogates
+
+        def record(d_, t_, rho, sigma):
+            seen.append(sigma.values)
+            return surrogates(d_, t_, rho, sigma)
+
+        monkeypatch.setattr(locc, "_subset_surrogates", record)
+        ppt_vs_haar_bound(d, t)
+        half = haar_moment(d, t).values
+        want = np.kron(half, half)
+        assert len(seen) == 1 and seen[0].dtype == want.dtype
+        assert seen[0].tobytes() == want.tobytes()
 
 
 class TestSandwich:

@@ -273,39 +273,50 @@ class TestMutants:
     experiment's defaults."""
 
     ROWS = {
+        "prs-hybrid": ["trace-distance", "keyed-hermitian-defect", "keyed-trace",
+                       "keyed-min-eigenvalue"],
+        "commit-hiding": ["trace-distance-n2", "trace-distance-n3", "no-copy-distance"],
         "commit-binding": ["max-p0-plus-p1", "optimum-vs-closed-form"],
         "onewayness": ["overlap-value"],
         "rank-attack": ["ideal-rank", "accept-keyed", "accept-ideal",
                         "rank-ratio-vs-formula"],
     }
 
-    @pytest.mark.parametrize("experiment,module,attr,mutate,row", [
+    @pytest.mark.parametrize("experiment,module,attr,mutate,rows", [
+        # the trace-distance rows passed unconditionally before they were
+        # compared with their bounds
+        pytest.param("prs-hybrid", exact, "hybrid_bound",
+                     lambda f: _scaled(f, Fraction(1, 100)), ["trace-distance"],
+                     id="hybrid-bound"),
+        pytest.param("commit-hiding", exact, "hiding_bound",
+                     lambda f: _scaled(f, Fraction(1, 100)),
+                     ["trace-distance-n2", "trace-distance-n3"], id="hiding-bound"),
         pytest.param("commit-binding", exact, "binding_bound",
-                     lambda f: _scaled(f, 0.25), "max-p0-plus-p1", id="binding-bound"),
+                     lambda f: _scaled(f, 0.25), ["max-p0-plus-p1"], id="binding-bound"),
         pytest.param("commit-binding", cm, "binding_sum",
-                     lambda f: _p0_scaled(f, 1 + 1e-12), "optimum-vs-closed-form",
+                     lambda f: _p0_scaled(f, 1 + 1e-12), ["optimum-vs-closed-form"],
                      id="binding-sum"),
         pytest.param("commit-binding", registry, "_block_fidelity",
-                     lambda f: _scaled(f, 1 + 1e-12), "optimum-vs-closed-form",
+                     lambda f: _scaled(f, 1 + 1e-12), ["optimum-vs-closed-form"],
                      id="block-fidelity"),
         # both pass at the old defaults (n=1, m=1) and (2, 2, 1, 2), whose
         # bounds 1 and 2 are above anything the rows measure
         pytest.param("onewayness", exact, "onewayness_bound",
-                     lambda f: _scaled(f, Fraction(3, 4)), "overlap-value",
+                     lambda f: _scaled(f, Fraction(3, 4)), ["overlap-value"],
                      id="onewayness-bound"),
         pytest.param("rank-attack", exact, "rank_ratio_bound",
-                     lambda f: _scaled(f, Fraction(2, 3)), "rank-ratio-vs-formula",
+                     lambda f: _scaled(f, Fraction(2, 3)), ["rank-ratio-vs-formula"],
                      id="rank-ratio-bound"),
     ])
     def test_mutant_fails_its_row(self, monkeypatch, experiment, module, attr, mutate,
-                                  row):
+                                  rows):
         clean = run(ExperimentConfig(experiment, seed=7))
         assert [c.name for c in clean.checks] == self.ROWS[experiment]
         assert clean.passed
         monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
         report = run(ExperimentConfig(experiment, seed=7))
         assert [c.name for c in report.checks] == self.ROWS[experiment]
-        assert [c.name for c in report.checks if not c.passed] == [row]
+        assert [c.name for c in report.checks if not c.passed] == rows
 
     def test_commit_binding_at_two_pairs_has_no_equality_row(self):
         # the p-fold construction is only a lower bound on the optimum
