@@ -1,49 +1,69 @@
-"""Dense linear algebra over explicitly shaped register systems.
+"""Linear algebra over explicitly shaped register systems, on dense or
+block-diagonal operators.
 
-States are stored as complex128.  An operator built from a real array (a
-bool, integer or float dtype) is marked ``real`` and stores its float64
-array; any other operator stores its complex128 array.  The Hermitian check
-runs on the stored array, where for a real one |x - y| is the complex
-|(x + 0j) - (y + 0j)| bit for bit.  Code outside this module reads an
-operator's numbers through ``Operator.values``: the float64 array of a real
-operator, ``entries`` otherwise, so how an operator is stored is decided
-here alone.  ``Operator.entries`` is always complex128; a real operator
-makes that copy only when ``entries`` is first read, and the copy replaces
-its float64 array, so no library path makes it.  Haar moments, label masks,
-ideal products and PPT blocks are real in the computational basis, so the
-exact path builds all of them this way, and partial trace, partial
-transpose and register permutation, which reshape ``values``, keep the
-mark.  Every operator is Hermitian, checked exactly when it is built: the
-largest |m - m^H| is taken tile by tile, each tile on or above the
-diagonal against the conjugate transpose of its mirror tile, so both stay
-in cache; the maximum is the one-shot
-``np.abs(m - m.conj().T).max()`` bit for bit, and a NaN or infinite entry
-fails the check.  The spectral step (``trace_norm``, ``trace_distance``,
-``fidelity``, ``pinv_sqrt``, ``numeric_rank``) is an eigensolve on
-``values``; the trace norm is the sum of |eigenvalues|.  The difference of
-two real operators is taken in float64, and any other matrix whose
-imaginary part is exactly zero is also handed to LAPACK's real symmetric
-solver, which finds the same spectrum in a fraction of the complex
-solver's time; a matrix with any nonzero imaginary entry takes the complex
-Hermitian solver.  The choice is read from the input, never set by a flag,
-and made once for the whole matrix.  Every exact-path eigensolve also
-reads the matrix's exact zero pattern: above D = 64 it labels the
-connected components of the pattern's lower triangle (the part LAPACK
-reads) and solves the blocks of each size as one batched stack, since a
-matrix that is block diagonal up to a permutation has the union of its
-blocks' spectra.  Keyed-minus-ideal differences, Haar moments and PPT
-blocks are block diagonal by type: the 1024-square hybrid differences
-split into blocks of at most 18, and the 720-square PPT block at
-(d, t) = (10, 2) into 90 blocks of at most 8.  At D <= 64, or with one
-component, the dense solve is as fast or faster and takes the whole
-matrix.  The spectral step stays in those blocks.  ``trace_distance``
-never forms the D x D difference a - b: it reads the difference's zero
-pattern as ``a != b`` and gathers each block as ``a[idx] - b[idx]``, the
-same floats.  The eigenvalues come back ascending; the eigenvectors come
-back per block, as a block eigensystem (see ``_spectrum``), so no D x D
-eigenvector matrix is formed: ``pinv_sqrt`` builds its output block by
-block, and only ``fidelity`` assembles the dense eigenvector matrix
-(``_dense_eigh``).
+States are stored as complex128.  An operator is given either densely or
+in block form: a list of ``(idx, block)`` stacks, ``idx`` an ``(nb, s)``
+array of ascending index rows and ``block`` the ``(nb, s, s)`` entries on
+them, every other entry zero; the rows of all stacks partition
+``[0, D)``.  The exact path's operators are block diagonal by type class
+and their builders know the blocks: a Haar moment is one constant block
+per class, the keyed state one block per class and label group, and a
+product of moments one block per tuple of class blocks, so they are built
+in block form and nothing looks for their structure again.
+
+An operator built from real arrays (a bool, integer or float dtype) is
+marked ``real`` and stores float64; any other stores complex128.  Code
+outside this module reads an operator's numbers through
+``Operator.values``: the float64 array of a real operator, ``entries``
+otherwise, so how an operator is stored is decided here alone.
+``Operator.entries`` is always complex128; a real operator makes that copy
+only when ``entries`` is first read, and the copy replaces its float64
+array, so no library path makes it.  A block operator assembles its dense
+matrix only on the first read of ``values`` or ``entries`` and keeps it
+under the same rule; its trace, its Hermitian defect and, above D = 64,
+its spectral step read the blocks, so no library path assembles it there.
+Haar moments, label masks, ideal products and PPT blocks are real in the
+computational basis, and partial trace, partial transpose and register
+permutation keep the mark; the first two reshape ``values`` and return
+dense operators, and the permutation of a block operator relabels its
+blocks.
+
+Every operator is Hermitian, checked exactly when it is built, and a NaN
+or infinite entry fails the check.  A dense matrix's largest |m - m^H| is
+taken tile by tile, each tile on or above the diagonal against the
+conjugate transpose of its mirror tile, so both stay in cache; the maximum
+is the one-shot ``np.abs(m - m.conj().T).max()`` bit for bit.  A block
+form is checked block by block, O(sum s^2), together with the partition.
+
+The spectral step (``trace_norm``, ``trace_distance``, ``fidelity``,
+``pinv_sqrt``, ``numeric_rank``) is an eigensolve; the trace norm is the
+sum of |eigenvalues|.  The difference of two real operators is taken in
+float64, and any other matrix whose imaginary part is exactly zero is also
+handed to LAPACK's real symmetric solver, which finds the same spectrum in
+a fraction of the complex solver's time; a matrix with any nonzero
+imaginary entry takes the complex Hermitian solver.  The choice is read
+from the input, never set by a flag, and made once for the whole matrix.
+Above D = 64 the solve runs on blocks, since a matrix that is block
+diagonal up to a permutation has the union of its blocks' spectra, and the
+blocks of each size go to the solver as one batched stack.  When every
+operand is a block operator the blocks are the join of their partitions,
+found by min-label passes over one D-long label array, and each is
+gathered from the operands' blocks.  Otherwise they are the connected
+components of the dense matrix's exact zero pattern, found over its lower
+triangle (the part LAPACK reads), and ``trace_distance`` reads the
+pattern of a - b as ``a != b``.  Either way each block holds
+``a[idx] - b[idx]``, one subtraction per entry, and the D x D difference
+is never formed.  The join is the zero pattern's components unless an
+entry cancels exactly in a - b; at every hybrid distance of the exact path
+it is, so the spectra are the dense ones bit for bit.  The 1024-square
+hybrid differences split into blocks of at most 18, and the 720-square PPT
+block at (d, t) = (10, 2) into 90 blocks of at most 8.  At D <= 64, or
+with one block, the dense solve is as fast or faster and takes the whole
+matrix.  The eigenvalues come back ascending; the eigenvectors come back
+per block, as a block eigensystem (see ``_spectrum``), so no D x D
+eigenvector matrix is formed: ``pinv_sqrt`` returns a block operator on
+the eigensystem's blocks, and only ``fidelity`` assembles the dense
+eigenvector matrix (``_dense_eigh``).
 
 Flat-index convention (fixed globally, documented only here): register 0
 is the most significant digit of the flat index.  A basis label
@@ -167,38 +187,61 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Hermitian matrix ``m`` with an attached register shape.
+    """Hermitian matrix with an attached register shape, given either
+    densely as ``m`` or in block form as ``blocks``.
 
-    ``real`` is derived, never passed: it is True when ``m`` came in with a
-    bool, integer or float dtype.  A real operator stores its float64 array
-    and any other its complex128 array; an ``m`` already of that dtype is
-    stored without a copy, so its owner must not write to it afterwards.
+    The block form is a list of ``(idx, block)`` stacks: ``idx`` an
+    ``(nb, s)`` integer array whose rows each ascend, ``block`` the
+    ``(nb, s, s)`` entries on them, row k of ``idx`` indexing both the rows
+    and the columns of ``block[k]``; every entry outside the blocks is
+    zero.  The rows of all stacks must partition ``[0, D)``.
+
+    ``real`` is derived, never passed: it is True when ``m``, or every
+    block, came in with a bool, integer or float dtype.  A real operator
+    stores float64 arrays and any other complex128 ones; an array already
+    of that dtype is stored without a copy, so its owner must not write to
+    it afterwards.  ``m`` must satisfy max |m - m^H| <= HERM_TOL, checked
+    tile by tile (see :func:`_hermitian_defect`), and so must each block,
+    checked stack by stack; a NaN or an infinite entry fails the check.
+
     :attr:`values` is how the operator's numbers are read.
     :attr:`entries` is always complex128: on its first read a real operator
     makes its complex128 copy, which then replaces the float64 array, so
-    ``values`` reads the copy's real part, the same bytes.  ``m`` must
-    satisfy max |m - m^H| <= HERM_TOL, checked tile by tile (see
-    :func:`_hermitian_defect`) before it is stored; a NaN or an infinite
-    entry fails the check.  Two threads that first read ``entries`` at once
-    may each make the copy; both copies hold the same bytes.
+    ``values`` reads the copy's real part, the same bytes.  A block
+    operator assembles its dense matrix on the first read of either, in
+    the dtype that read asks for, and keeps it under the same rule; its
+    blocks stay, and the spectral step above ``_BLOCK_MIN_DIM`` reads them
+    rather than the dense matrix (see :func:`_spectrum`).  Two threads
+    that first read ``entries`` at once may each make the copy; both
+    copies hold the same bytes.
     """
 
     shape: RegisterShape
-    m: InitVar[np.ndarray]
+    m: InitVar[np.ndarray | None] = None
+    blocks: InitVar[list | None] = None
     real: bool = field(init=False)
-    _stored: np.ndarray = field(init=False, repr=False)
+    _stored: np.ndarray | None = field(init=False, repr=False)
+    _blocks: tuple | None = field(init=False, repr=False)
 
-    def __post_init__(self, m) -> None:
-        m = np.asarray(m)
-        real = m.dtype.kind in "biuf"
-        m = m.astype(np.float64 if real else np.complex128, copy=False)
+    def __post_init__(self, m, blocks) -> None:
         n = self.shape.total
-        if m.shape != (n, n):
-            raise ShapeMismatch(f"entries shape {m.shape} != ({n}, {n})")
-        defect = _hermitian_defect(m)
+        if (m is None) == (blocks is None):
+            raise ParameterError("give exactly one of the dense matrix m and the blocks")
+        if blocks is not None:
+            stacks, real = _block_form(blocks, n)
+            defect = _block_defect(stacks)
+        else:
+            m = np.asarray(m)
+            real = m.dtype.kind in "biuf"
+            m = m.astype(np.float64 if real else np.complex128, copy=False)
+            if m.shape != (n, n):
+                raise ShapeMismatch(f"entries shape {m.shape} != ({n}, {n})")
+            stacks = None
+            defect = _hermitian_defect(m)
         if not defect <= HERM_TOL:  # NaN compares False
             raise ParameterError(f"not Hermitian: defect {defect:.3e} > {HERM_TOL}")
         object.__setattr__(self, "_stored", m)
+        object.__setattr__(self, "_blocks", stacks)
         object.__setattr__(self, "real", real)
 
     @property
@@ -206,21 +249,88 @@ class Operator:
         return self.shape.total
 
     @property
+    def block_form(self) -> tuple | None:
+        """The ``(idx, block)`` stacks of a block operator; None for a
+        dense one."""
+        return self._blocks
+
+    def _assemble(self, dtype) -> np.ndarray:
+        """The dense matrix of a block operator: its blocks scattered into
+        a zero matrix."""
+        out = np.zeros((self.dim, self.dim), dtype=dtype)
+        for idx, block in self._blocks:
+            out[idx[:, :, None], idx[:, None, :]] = block
+        return out
+
+    @property
     def entries(self) -> np.ndarray:
         """The complex128 matrix, made from a real operator's float64 array
-        on the first read, which it replaces."""
-        if self._stored.dtype != np.complex128:
-            object.__setattr__(self, "_stored", self._stored.astype(np.complex128))
+        (or a block operator's blocks) on the first read, which it
+        replaces."""
+        stored = self._stored
+        if stored is None:
+            object.__setattr__(self, "_stored", self._assemble(np.complex128))
+        elif stored.dtype != np.complex128:
+            object.__setattr__(self, "_stored", stored.astype(np.complex128))
         return self._stored
 
     @property
     def values(self) -> np.ndarray:
         """The float64 array of a real operator (the real part of
         ``entries`` once that was read), else ``entries``."""
+        if self._stored is None:
+            object.__setattr__(self, "_stored", self._assemble(
+                np.float64 if self.real else np.complex128))
         return self._stored.real if self.real else self._stored
 
     def trace(self) -> complex:
-        return complex(np.trace(self.values))
+        """The sum of the diagonal in index order, read from the blocks of
+        a block operator: ``np.trace`` of the dense matrix bit for bit."""
+        if self._blocks is None:
+            return complex(np.trace(self.values))
+        diagonal = np.empty(self.dim, dtype=self._blocks[0][1].dtype)
+        for idx, block in self._blocks:
+            diagonal[idx] = np.diagonal(block, axis1=1, axis2=2)
+        return complex(diagonal.sum())
+
+    def hermitian_defect(self) -> float:
+        """max |m - m^H|, per block for a block operator."""
+        if self._blocks is None:
+            return _hermitian_defect(self.values)
+        return _block_defect(self._blocks)
+
+
+def _block_form(blocks, n: int) -> tuple[tuple, bool]:
+    """The validated stacks of a block form over ``[0, n)``, each as an
+    (intp index array, float64 or complex128 block array) pair, and
+    whether every block came in real."""
+    pairs = [(np.asarray(idx), np.asarray(block)) for idx, block in blocks]
+    if not pairs:
+        raise ShapeMismatch("a block form needs at least one stack")
+    real = all(block.dtype.kind in "biuf" for _, block in pairs)
+    dtype = np.float64 if real else np.complex128
+    stacks = []
+    for idx, block in pairs:
+        if idx.ndim != 2 or idx.dtype.kind not in "iu" or block.shape != idx.shape + idx.shape[1:]:
+            raise ShapeMismatch(
+                f"block stack shapes {idx.shape} and {block.shape} are not (nb, s), (nb, s, s)")
+        idx = idx.astype(np.intp, copy=False)
+        if not (idx[:, 1:] > idx[:, :-1]).all():
+            raise ParameterError("block index rows must ascend")
+        stacks.append((idx, block.astype(dtype, copy=False)))
+    # every index of [0, n) exactly once: out of range, repeated and missing alike
+    if not np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in stacks])),
+                          np.arange(n)):
+        raise ParameterError(f"the block indices do not partition [0, {n})")
+    return tuple(stacks), real
+
+
+def _block_defect(stacks) -> float:
+    """max |b - b^H| over every block of every stack; NaN when any block
+    holds a NaN or an infinite entry."""
+    # np.max keeps a NaN; builtin max may drop it
+    return float(np.max([np.abs(block - block.conj().swapaxes(1, 2)).max(initial=0.0)
+                         for _, block in stacks]))
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -281,6 +391,18 @@ def permute_registers(x, order):
     if isinstance(x, StateVector):
         arr = x.amplitudes.reshape(dims).transpose(order).reshape(-1)
         return StateVector(new_shape, arr)
+    if x.block_form is not None:
+        # each block keeps its entries under the new flat indices, its rows
+        # and columns reordered together so that every index row ascends
+        moved = np.empty(x.dim, dtype=np.intp)
+        moved[np.arange(x.dim).reshape(dims).transpose(order).ravel()] = np.arange(x.dim)
+        stacks = []
+        for idx, block in x.block_form:
+            sort = np.argsort(moved[idx], axis=1)
+            rows = np.arange(len(idx))[:, None]
+            stacks.append((moved[idx][rows, sort],
+                           block[rows[:, :, None], sort[:, :, None], sort[:, None, :]]))
+        return Operator(new_shape, blocks=stacks)
     r = len(dims)
     axes = list(order) + [r + i for i in order]
     arr = x.values.reshape(dims + dims).transpose(axes).reshape(x.dim, x.dim)
@@ -390,42 +512,124 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
             for s in np.flatnonzero(np.bincount(group_sizes))]
 
 
-def _spectrum(a: np.ndarray, b: np.ndarray | None = None, vectors: bool = False):
-    """Eigensystem of the Hermitian ``a - b``, or of ``a`` when ``b`` is
-    None.  Without ``vectors``: the eigenvalues, ascending.  With
-    ``vectors``: the block eigensystem, a list of ``(idx, vals, vecs)``,
-    one per block size s: ``idx`` the ``(nblocks, s)`` indices of each
-    block, ``vals`` its ``(nblocks, s)`` eigenvalues, each row ascending,
-    and ``vecs`` the ``(nblocks, s, s)`` eigenvectors, column j of block k
-    the one of ``vals[k, j]`` on the indices ``idx[k]``.  A matrix solved
-    whole is one block on all its indices.
+def _join(forms, n: int) -> np.ndarray:
+    """The smallest index of each index's block in the join of the block
+    forms' partitions of ``[0, n)``: the finest partition that each of them
+    refines.
 
-    A matrix whose exact zero pattern splits into components is a
-    permutation of a block-diagonal matrix, so its spectrum is the union of
-    its blocks' spectra; the blocks of one size go to the solver as one
-    ``(nblocks, s, s)`` stack, gathered as ``a[idx] - b[idx]``, one
-    subtraction per entry, so each block holds the dense difference's
-    floats.  Neither the D x D difference nor a D x D eigenvector matrix
-    is formed; only a matrix solved whole (D <= 64, or one component) is
-    handed to the solver as one D x D array.
+    Min-label passes over one D-long label array: every block takes the
+    smallest label among its indices, then every label is followed to its
+    root.  Labels only fall, each to an index of the same joined block, so
+    a pass that changes nothing leaves each joined block on its smallest
+    index.
     """
-    if b is None:
-        a = _real_if_exact(a)
-    else:
-        a, b = _real_pair_if_exact(a, b)
+    labels = np.arange(n)
+    while True:
+        before = labels.copy()
+        for form in forms:
+            for idx, _ in form:
+                labels[idx] = labels[idx].min(axis=1, keepdims=True)
+        while not np.array_equal(roots := labels[labels], labels):
+            labels = roots
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _gather(op: Operator, groups) -> list[np.ndarray]:
+    """The entries of ``op`` on each block of ``groups``, a list of
+    ``(nb, s)`` index arrays, as ``(nb, s, s)`` arrays: entry (k, i, j) of
+    one is op's entry at ``(idx[k, i], idx[k, j])``.  A block operator is
+    read from its blocks, 0 at a pair that none of them holds; a dense one
+    from ``values``."""
+    if op.block_form is None:
+        return [op.values[idx[:, :, None], idx[:, None, :]] for idx in groups]
+    # the blocks' entries end to end; entry (p, q) of the block holding
+    # index i, p its position there, sits at head[i] + q, and base[i] is
+    # the same for every index of one block only
+    base, head, pos = (np.empty(op.dim, dtype=np.intp) for _ in range(3))
+    start = 0
+    for idx, block in op.block_form:
+        nb, s = idx.shape
+        base[idx] = start + s * s * np.arange(nb)[:, None]
+        pos[idx] = np.arange(s)
+        head[idx] = base[idx] + s * pos[idx]
+        start += block.size
+    flat = np.concatenate([block.ravel() for _, block in op.block_form])
+    out = []
+    for idx in groups:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        held = base[rows] == base[cols]
+        out.append(np.where(held, flat[np.where(held, head[rows] + pos[cols], 0)], 0))
+    return out
+
+
+def _joined_stacks(operands: list[Operator]) -> tuple[list, list]:
+    """The blocks of the join of the block operators' partitions, one
+    ``(nblocks, s)`` index array per size s as :func:`_label_groups` orders
+    them, and the stacks of ``a - b`` (of ``a`` alone) on them, for the
+    operands ``[a, b]`` (or ``[a]``).
+
+    Each entry is one subtraction of the two operands' entries, 0 where an
+    operand holds none, so each stack holds the dense difference's floats;
+    the stacks are real when no entry of the difference has a nonzero
+    imaginary part, the choice ``_real_pair_if_exact`` makes on the dense
+    operands."""
+    groups = _label_groups(_join([op.block_form for op in operands], operands[0].dim))
+    stacks = _gather(operands[0], groups)
+    if len(operands) == 2:
+        stacks = [in_a - in_b for in_a, in_b in zip(stacks, _gather(operands[1], groups))]
+    if np.iscomplexobj(stacks[0]) and not any(s.imag.any() for s in stacks):
+        stacks = [s.real for s in stacks]
+    return groups, stacks
+
+
+def _spectrum(a, b=None, vectors: bool = False):
+    """Eigensystem of the Hermitian ``a - b``, or of ``a`` when ``b`` is
+    None; each operand a matrix or an :class:`Operator`.  Without
+    ``vectors``: the eigenvalues, ascending.  With ``vectors``: the block
+    eigensystem, a list of ``(idx, vals, vecs)``, one per block size s:
+    ``idx`` the ``(nblocks, s)`` indices of each block, ``vals`` its
+    ``(nblocks, s)`` eigenvalues, each row ascending, and ``vecs`` the
+    ``(nblocks, s, s)`` eigenvectors, column j of block k the one of
+    ``vals[k, j]`` on the indices ``idx[k]``.  A matrix solved whole is one
+    block on all its indices.
+
+    A matrix that is block diagonal up to a permutation has the union of
+    its blocks' spectra; the blocks of one size go to the solver as one
+    ``(nblocks, s, s)`` stack.  Above ``_BLOCK_MIN_DIM``, operands that are
+    all block operators are solved on the join of their partitions
+    (:func:`_joined_stacks`), which no dense matrix enters.  Otherwise the
+    blocks are the components of the dense difference's exact zero pattern
+    (:func:`_block_indices`), gathered as ``a[idx] - b[idx]``, one
+    subtraction per entry.  Neither the D x D difference nor a D x D
+    eigenvector matrix is formed; only a matrix solved whole (D <= 64, or
+    one component) is handed to the solver as one D x D array.
+    """
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    groups = _block_indices(a, b)
-    try:
+    operands = [op for op in (a, b) if op is not None]
+    if (all(isinstance(op, Operator) and op.block_form is not None for op in operands)
+            and a.dim > _BLOCK_MIN_DIM):
+        groups, stacks = _joined_stacks(operands)
+    else:
+        a, b = (op.values if isinstance(op, Operator) else op for op in (a, b))
+        if b is None:
+            a = _real_if_exact(a)
+        else:
+            a, b = _real_pair_if_exact(a, b)
+        groups = _block_indices(a, b)
         if groups is None:
-            solved = solve(a if b is None else a - b)
+            try:
+                solved = solve(a if b is None else a - b)
+            except np.linalg.LinAlgError as exc:
+                raise EigsFailed(str(exc)) from exc
             if not vectors:
                 return solved
             return [(np.arange(len(a))[None], solved[0][None], solved[1][None])]
-        solved = []
-        for idx in groups:
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            solved.append(solve(a[rows, cols] if b is None
-                                else a[rows, cols] - b[rows, cols]))
+        blocks = ((idx[:, :, None], idx[:, None, :]) for idx in groups)
+        stacks = (a[rows, cols] if b is None else a[rows, cols] - b[rows, cols]
+                  for rows, cols in blocks)
+    try:
+        solved = [solve(stack) for stack in stacks]
     except np.linalg.LinAlgError as exc:
         raise EigsFailed(str(exc)) from exc
     if not vectors:
@@ -440,7 +644,7 @@ def _ascending(blocks) -> np.ndarray:
 
 def trace_norm(m: Operator) -> float:
     """Sum of |eigenvalues|, the sum of singular values of a Hermitian matrix."""
-    return float(np.abs(_spectrum(m.values)).sum())
+    return float(np.abs(_spectrum(m)).sum())
 
 
 def trace_distance(a: Operator, b: Operator) -> float:
@@ -448,15 +652,19 @@ def trace_distance(a: Operator, b: Operator) -> float:
 
     The difference of two operators is Hermitian, since both were checked
     when they were built, so it goes straight to the eigenvalue solver.
-    The D x D difference is never formed: its zero pattern is read as
-    ``a != b`` and each block gathered as ``a[idx] - b[idx]`` (see
-    :func:`_spectrum`), so the spectrum is the one of the dense
-    difference bit for bit.  The difference of two real operators is
-    float64, the real part of their complex difference bit for bit.
+    The D x D difference is never formed (see :func:`_spectrum`): two
+    block operators above ``_BLOCK_MIN_DIM`` are solved on the join of
+    their partitions, and any other pair on the components of the zero
+    pattern, read as ``a != b``; each block is gathered as
+    ``a[idx] - b[idx]``, the dense difference's floats.  When the join is
+    the components, as at every hybrid distance of the exact path, the
+    spectrum is the dense difference's bit for bit.  The difference of two
+    real operators is float64, the real part of their complex difference
+    bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
-    return 0.5 * float(np.abs(_spectrum(a.values, b.values)).sum())
+    return 0.5 * float(np.abs(_spectrum(a, b)).sum())
 
 
 def _require_psd(vals: np.ndarray, tol: float) -> None:
@@ -464,9 +672,10 @@ def _require_psd(vals: np.ndarray, tol: float) -> None:
         raise NotPSD(f"eigenvalue {vals.min():.3e} below -{tol}")
 
 
-def _psd_eigh(m: np.ndarray, tol: float = PSD_TOL) -> list[tuple]:
-    """The block eigensystem of :func:`_spectrum` with every eigenvalue
-    clipped at 0; ``NotPSD`` when one lies below ``-tol``."""
+def _psd_eigh(m, tol: float = PSD_TOL) -> list[tuple]:
+    """The block eigensystem of :func:`_spectrum` of the matrix or
+    operator ``m`` with every eigenvalue clipped at 0; ``NotPSD`` when one
+    lies below ``-tol``."""
     system = _spectrum(m, vectors=True)
     _require_psd(_ascending(vals for _, vals, _ in system), tol)
     return [(idx, np.clip(vals, 0.0, None), vecs) for idx, vals, vecs in system]
@@ -506,7 +715,7 @@ def fidelity(a: Operator, b: Operator) -> float:
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
     dim = a.shape.total
-    avals, avecs = _dense_eigh(_psd_eigh(a.values))
+    avals, avecs = _dense_eigh(_psd_eigh(a))
     support = _above_noise(avals, dim)
     avals, avecs = avals[support], avecs[:, support]
     b_values = _real_if_exact(b.values)
@@ -522,22 +731,20 @@ def fidelity(a: Operator, b: Operator) -> float:
 def pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> Operator:
     """Inverse square root on the support; eigenvalues <= cutoff go to 0.
 
-    Built block by block from the block eigensystem, V diag(inv) V^H on
-    each block's indices, O(sum s^3) rather than one O(D^3) product.
+    A block operator on the blocks of the block eigensystem, V diag(inv)
+    V^H on each block's indices, O(sum s^3) rather than one O(D^3) product.
     """
-    system = _psd_eigh(m.values)
-    out = np.zeros((m.dim, m.dim), dtype=system[0][2].dtype)
-    for idx, vals, vecs in system:
+    blocks = []
+    for idx, vals, vecs in _psd_eigh(m):
         keep = vals > cutoff
         inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
-        out[idx[:, :, None], idx[:, None, :]] = (
-            (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(1, 2))
-    return Operator(m.shape, out)
+        blocks.append((idx, (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(1, 2)))
+    return Operator(m.shape, blocks=blocks)
 
 
 def numeric_rank(m: Operator, rel_threshold: float = RANK_TOL) -> int:
     """Count of eigenvalues with |lam| > rel_threshold * max |lam|."""
-    vals = np.abs(_spectrum(m.values))
+    vals = np.abs(_spectrum(m))
     if vals.size == 0:
         return 0
     top = vals.max()

@@ -9,10 +9,11 @@ uniform keys, that product becomes the 0/1 label agreement
 ``[label(r) == label(s)]`` (label dephasing): the label of a flat index is
 the XOR of the keyed registers' prefixes, one label per independent key
 block.  Every key average here is that agreement, exact over the whole key
-space; nothing is sampled.  A Haar moment is zero outside the index pairs
-of its type classes, so the keyed state reads the moment only there and
-keeps the pairs whose labels all agree, and the ideal state is scattered
-from its moments' nonzeros; neither builds a D x D mask or product.
+space; nothing is sampled.  A Haar moment is one block per type class,
+so the keyed state reads the moment only there and keeps the pairs whose
+labels all agree, one block per class and label group, and the ideal state
+is one block per tuple of its moments' class blocks; both are block
+operators, and neither builds a D x D matrix, mask or product.
 
 Hybrid density matrices follow the register layout: generator-output copies
 first (in query order, with multiplicities), shared-state copies last.
@@ -32,14 +33,13 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, StateVector, \
-    _ascending, _psd_eigh, numeric_rank, pinv_sqrt, trace_distance
+from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, StateVector, _ascending, \
+    _gather, _label_groups, _psd_eigh, numeric_rank, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
     TypeVector,
     _ideal_state,
-    _type_classes,
     haar_moment,
     is_l_fold_prefix_collision_free,
     type_state,
@@ -369,20 +369,24 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
                  cap: int, enum_cap: int) -> Operator:
     """Keyed copies plus shared copies, averaged over the whole key space:
     the total-copy Haar moment dephased by the charges' labels, a real
-    operator like the moment.
+    block operator like the moment.
 
-    The moment is zero outside its type classes, so only the index pairs
-    of each class are read, and those whose labels all agree are
-    scattered into a zero matrix.
+    The moment is one block per type class, so only the index pairs of
+    each class are read.  Label agreement is an equivalence, so the pairs
+    that keep their entry split each class into groups of indices whose
+    labels all agree; each group is one block, holding the moment's
+    entries on it.
     """
-    moment = haar_moment(d, total, cap, enum_cap).values
-    out = np.zeros((d**total,) * 2)
-    for idx in _type_classes(d, total, cap, enum_cap):
+    moment = haar_moment(d, total, cap, enum_cap)
+    group = np.empty(moment.dim, dtype=np.intp)
+    for idx, _ in moment.block_form:
         rows, cols = idx[:, :, None], idx[:, None, :]
         agree = _labels_agree(d, total, suffix_shift, charges, rows, cols)
-        rows, cols = (pairs[agree] for pairs in np.broadcast_arrays(rows, cols))
-        out[rows, cols] = moment[rows, cols]
-    return Operator(RegisterShape((d,) * total), out)
+        # an index's group is named by the smallest index of its class
+        # whose labels all agree with its own
+        group[idx] = np.where(agree, cols, moment.dim).min(axis=2)
+    groups = _label_groups(group)
+    return Operator(moment.shape, blocks=list(zip(groups, _gather(moment, groups))))
 
 
 def _hybrid(d: int, suffix_shift: int, charges, groups, cap: int,
@@ -496,23 +500,24 @@ def rank_attack(params: PseudoParams, cap: int = DEFAULT_DIM_CAP,
     total = ell + t
     if n < lam:
         raise ParameterError(f"need n >= lam, got n={n}, lam={lam}")
-    rho0 = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap).values
+    keyed = _keyed_state(d, total, n - lam, [range(ell)], cap, enum_cap)
     ideal = _ideal_state(d, [range(ell), range(ell, total)], cap, enum_cap)
 
     # clipped negatives never reach the support, so rank0 and accept_pseudo
     # are those of the unclipped spectrum
-    system = _psd_eigh(rho0)
+    system = _psd_eigh(keyed)
     vals0 = _ascending(vals for _, vals, _ in system)
     threshold = RANK_TOL * vals0.max()
     support = vals0 > threshold
     rank0 = int(support.sum())
     accept_pseudo = float(vals0[support].sum())
     # Tr(P rho1) = sum of v^H rho1 v over the support eigenvectors v, each
-    # read on its own block's indices; a probability, so clip the round-off
-    # that can carry it just past 1
+    # read on its own block's indices, where the ideal's entries are gathered
+    # from its own blocks; a probability, so clip the round-off that can
+    # carry it just past 1
     overlap = 0.0
-    for idx, vals, vecs in system:
-        block = ideal.values[idx[:, :, None], idx[:, None, :]]
+    blocks = _gather(ideal, [idx for idx, _, _ in system])
+    for (_, vals, vecs), block in zip(system, blocks):
         per_vector = np.real((vecs.conj() * (block @ vecs)).sum(axis=1))
         overlap += per_vector[vals > threshold].sum()
     accept_haar = float(np.clip(overlap, 0.0, 1.0))
@@ -539,6 +544,7 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     d = 2**n
     total = m + 1
     sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
-    s = pinv_sqrt(Operator(sigma.shape, d * sigma.values)).values
+    s = pinv_sqrt(Operator(sigma.shape, blocks=[(idx, d * block)
+                                                for idx, block in sigma.block_form])).values
     ms = haar_moment(d, total, cap, enum_cap).values @ s
     return float(np.real(np.trace(ms @ ms))), float(exact.onewayness_bound(n, m))

@@ -30,7 +30,7 @@ from . import pseudo as ps
 from . import typespace as ts
 from .errors import ChslabError, ConfigInvalid, ParameterError
 from .linalg import DEFAULT_DIM_CAP, HERM_TOL, Operator, RegisterShape, \
-    _hermitian_defect, _spectrum, numeric_rank
+    _spectrum, numeric_rank
 from .rng import stream_rng
 from .typespace import DEFAULT_ENUM_CAP, PrefixParams, TypeVector
 
@@ -149,10 +149,11 @@ def _haar_blocks(d: int, samples: int, rng):
 
 
 def _density_contract(rec: _Recorder, label: str, op: Operator) -> None:
-    values = op.values
-    rec.close(f"{label}-hermitian-defect", _hermitian_defect(values), 0.0, EXACT, HERM_TOL)
-    rec.close(f"{label}-trace", float(np.real(np.trace(values))), 1.0, EXACT, _SUM_TOL)
-    min_eig = float(_spectrum(values).min())
+    # read from a block operator's blocks; the least eigenvalue comes from
+    # the spectral step, which solves D <= 64 whole
+    rec.close(f"{label}-hermitian-defect", op.hermitian_defect(), 0.0, EXACT, HERM_TOL)
+    rec.close(f"{label}-trace", op.trace().real, 1.0, EXACT, _SUM_TOL)
+    min_eig = float(_spectrum(op).min())
     rec.add(f"{label}-min-eigenvalue", min_eig, -_PROB_TOL, EXACT,
             min_eig >= -_PROB_TOL)
 

@@ -12,10 +12,12 @@ materialised by :func:`type_state`.  The canonical ordering of types is
 lexicographic on the sorted element tuple.  The flat indices of
 ``(C^d)^(x)t`` fall into one class per type, the arrangements of its
 multiset (:func:`_type_classes`).  The symmetric projector and the Haar
-moment are zero outside those classes' index pairs, so both are scattered
-into a zero matrix, one value per class size: a 1024-square moment has
-2016 nonzero entries at (d, t) = (32, 2).  Products of independent moments
-are scattered the same way from their nonzeros (:func:`_ideal_state`).
+moment are zero outside those classes' index pairs, so both are block
+operators with one constant block per class: a 1024-square moment holds
+2016 entries at (d, t) = (32, 2).  A product of independent moments is a
+block operator too, one block per tuple of class blocks
+(:func:`_ideal_state`).  The dense scatter of the class blocks stays as
+their oracle (:func:`_class_scatter`).
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
 tests arrays of element rows at once by pairwise scans over one contiguous
@@ -217,13 +219,20 @@ def _type_classes(d: int, t: int, cap: int, enum_cap: int) -> list[np.ndarray]:
     return _label_groups(digits @ powers)
 
 
+def _class_blocks(d: int, t: int, cap: int, enum_cap: int, divisor: int) -> list:
+    """The block form with one constant block per type class, of value
+    (1/|class|)/divisor: the matrix with that value at (r, s) when the basis
+    labels r and s are arrangements of the same type, 0 elsewhere."""
+    return [(idx, np.full(idx.shape + idx.shape[1:], 1.0 / idx.shape[1] / divisor))
+            for idx in _type_classes(d, t, cap, enum_cap)]
+
+
 def _class_scatter(d: int, t: int, cap: int, enum_cap: int, divisor: int) -> np.ndarray:
-    """The float64 matrix with (1/|class|)/divisor at (r, s) when the basis
-    labels r and s are arrangements of the same type, 0 elsewhere: one
-    scatter over each class's |class|^2 index pairs into a zero matrix."""
-    classes = _type_classes(d, t, cap, enum_cap)
+    """The dense matrix of :func:`_class_blocks`, scattered over each
+    class's |class|^2 index pairs into a zero matrix: the oracle the
+    builders' blocks are checked against."""
     out = np.zeros((d**t,) * 2)
-    for idx in classes:
+    for idx in _type_classes(d, t, cap, enum_cap):
         out[idx[:, :, None], idx[:, None, :]] = 1.0 / idx.shape[1] / divisor
     return out
 
@@ -234,9 +243,9 @@ def sym_projector(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
 
     Its entry at (r, s) is 1/|class| when the basis labels r and s are
     arrangements of the same type and 0 otherwise: the sum of |T><T| over
-    types, scattered over the index pairs of each type class.
+    types, a block operator with one block per type class.
     """
-    return Operator(RegisterShape((d,) * t), _class_scatter(d, t, cap, enum_cap, 1))
+    return Operator(RegisterShape((d,) * t), blocks=_class_blocks(d, t, cap, enum_cap, 1))
 
 
 def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Operator:
@@ -258,38 +267,45 @@ def permutation_symmetrizer(d: int, t: int, cap: int = DEFAULT_DIM_CAP) -> Opera
 def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
                 enum_cap: int = DEFAULT_ENUM_CAP) -> Operator:
     """Exact t-th moment of the projector onto a Haar-random state in C^d:
-    the type-class projector :func:`sym_projector` over C(d+t-1, t), each
-    class's value (1/|class|)/C(d+t-1, t) divided and scattered in
-    float64, a real operator."""
+    the type-class projector :func:`sym_projector` over C(d+t-1, t), a
+    real block operator with one constant block per type class, of value
+    (1/|class|)/C(d+t-1, t) divided in float64."""
     count, _ = _type_rows(d, t, enum_cap)  # validates d and t first
-    moment = _class_scatter(d, t, cap, enum_cap, count)
-    return Operator(RegisterShape((d,) * t), moment)
+    return Operator(RegisterShape((d,) * t), blocks=_class_blocks(d, t, cap, enum_cap, count))
+
+
+def _kron_stacks(a: tuple, b: tuple, dim_b: int) -> tuple:
+    """The block stack of the Kronecker product of the stacks ``a`` and
+    ``b``, the second on a ``dim_b``-dimensional factor: one block per pair
+    of their blocks, row-major over the pair, with entry
+    ``a_block[p, q] * b_block[p', q']`` at ((p, p'), (q, q'))."""
+    (idx_a, blocks_a), (idx_b, blocks_b) = a, b
+    nb, sb = idx_b.shape
+    na, sa = idx_a.shape
+    idx = (idx_a[:, None, :, None] * dim_b + idx_b[None, :, None, :]).reshape(na * nb, sa * sb)
+    blocks = blocks_a[:, None, :, None, :, None] * blocks_b[None, :, None, :, None, :]
+    return idx, blocks.reshape(na * nb, sa * sb, sa * sb)
 
 
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
     """One independent Haar moment per register group, in register order:
-    the Kronecker product of the moments, a real operator.
+    the Kronecker product of the moments, a real block operator.
 
-    The product is scattered from the moments' nonzeros: the entry at the
-    combined row and column is their product, taken left to right as
-    ``np.kron`` takes it, and every other entry is zero.
+    Each block is the product of one class block per group: its entries
+    are the class values' product, taken left to right as ``np.kron``
+    takes it, and its indices ascend as the combined flat indices do.
+    Groups that are not in register order are then permuted as blocks
+    (:func:`permute_registers`).
     """
-    rows = cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1)
-    dim = 1
+    stacks = [(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1, 1)))]
     order: list[int] = []
     for regs in groups:
         if len(regs):
-            moment = haar_moment(d, len(regs), cap, enum_cap).values
-            r, c = np.nonzero(moment)
-            rows = (rows[:, None] * len(moment) + r).ravel()
-            cols = (cols[:, None] * len(moment) + c).ravel()
-            vals = (vals[:, None] * moment[r, c]).ravel()
-            dim *= len(moment)
+            moment = haar_moment(d, len(regs), cap, enum_cap)
+            stacks = [_kron_stacks(a, b, moment.dim)
+                      for a in stacks for b in moment.block_form]
             order.extend(int(reg) for reg in regs)
-    entries = np.zeros((dim, dim))
-    entries[rows, cols] = vals
-    grouped = Operator(RegisterShape((d,) * len(order)), entries)
+    grouped = Operator(RegisterShape((d,) * len(order)), blocks=stacks)
     if order == sorted(order):
         return grouped
     # grouped register g holds register order[g]

@@ -2,7 +2,8 @@
 
 Storage: only linalg may read ``Operator.entries``.  Everything else reads
 ``Operator.values``, so a change to how operators are stored touches
-linalg alone, and no library path makes a real operator's complex128 copy.
+linalg alone, no library path makes a real operator's complex128 copy, and
+none assembles a block operator's dense matrix above D = 64.
 
 Closed forms: ``exact`` imports only the standard library's exact
 arithmetic, so a closed form shares no code with the numeric construction
@@ -26,7 +27,7 @@ import chslab
 from chslab import commitment as cm
 from chslab import locc as lc
 from chslab import pseudo as ps
-from chslab.linalg import Operator, RegisterShape
+from chslab.linalg import _BLOCK_MIN_DIM, Operator, RegisterShape
 from chslab.registry import run_suite
 
 
@@ -109,16 +110,25 @@ def test_locc_does_not_import_pseudo():
 
 def test_no_library_path_promotes_a_real_operator(monkeypatch):
     # the first read of a real operator's entries makes its complex128
-    # copy; count the reads that find the float64 array still stored
-    promoted = []
+    # copy; count the reads that find no complex128 array stored yet, and
+    # every dense assembly of a block operator above D = 64, where the
+    # spectral step reads the blocks
+    promoted, assembled = [], []
     read_entries = Operator.entries.fget
+    assemble = Operator._assemble
 
     def counting(op):
-        if op._stored.dtype != np.complex128:
+        if op.real and (op._stored is None or op._stored.dtype != np.complex128):
             promoted.append(op.shape.dims)
         return read_entries(op)
 
+    def counting_assembly(op, dtype):
+        if op.dim > _BLOCK_MIN_DIM:
+            assembled.append(op.shape.dims)
+        return assemble(op, dtype)
+
     monkeypatch.setattr(Operator, "entries", property(counting))
+    monkeypatch.setattr(Operator, "_assemble", counting_assembly)
     pp = ps.PseudoParams
     # the exact path at D <= 1024, as the benchmark's exact-hybrids runs it
     ps.prs_hybrids(pp(5, 5, 1, 1))
@@ -131,9 +141,13 @@ def test_no_library_path_promotes_a_real_operator(monkeypatch):
     assert all(report.passed for report in run_suite("all", 7))
     op = Operator(RegisterShape((2,)), np.eye(2))
     assert op.trace() == 2
-    assert promoted == []
+    assert promoted == [] and assembled == []
     op.entries
     assert promoted == [(2,)]
+    big = Operator(RegisterShape((65,)), blocks=[(np.arange(65)[:, None], np.ones((65, 1, 1)))])
+    assert big.trace() == 65 and assembled == []
+    big.values
+    assert assembled == [(65,)]
 
 
 def test_every_check_tolerance_is_a_module_constant():

@@ -1,6 +1,7 @@
 """Unit and property tests for the shaped dense linear algebra layer."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chslab.errors import (
     ShapeMismatch,
 )
 from chslab.linalg import (
+    DEFAULT_DIM_CAP,
     HERM_TOL,
     Operator,
     RegisterShape,
@@ -33,7 +35,7 @@ from chslab.linalg import (
     _spectrum,
 )
 from chslab.rng import stream_rng
-from chslab.typespace import sym_projector
+from chslab.typespace import DEFAULT_ENUM_CAP, _class_scatter, haar_moment, sym_projector
 
 QUBIT = RegisterShape((2,))
 
@@ -794,3 +796,161 @@ class TestPermuteRegisters:
         swapped = permute_registers(kron(a, b), (1, 0))
         np.testing.assert_allclose(swapped.entries,
                                    np.kron(b.entries, a.entries), atol=1e-14)
+
+
+def random_block_form(rng, sizes, real=True):
+    """A block form of random Hermitian blocks, one stack per entry of
+    ``sizes`` (a block size and a count), on randomly permuted indices."""
+    perm = rng.permutation(sum(s * count for s, count in sizes))
+    stacks, start = [], 0
+    for s, count in sizes:
+        idx = np.sort(perm[start:start + s * count].reshape(count, s), axis=1)
+        z = rng.standard_normal((count, s, s))
+        if not real:
+            z = z + 1j * rng.standard_normal((count, s, s))
+        stacks.append((idx, (z + z.conj().swapaxes(1, 2)) / 2))
+        start += s * count
+    return stacks
+
+
+class TestBlockForm:
+    """Operators built from (idx, block) stacks: the constructor's checks,
+    the dense matrix assembled on first read, and the spectral step on the
+    blocks against the dense operands."""
+
+    SHAPE = RegisterShape((80,))
+
+    def test_values_assemble_on_first_read(self):
+        stacks = random_block_form(stream_rng(50), [(1, 10), (3, 10), (4, 10)])
+        dense = np.zeros((80, 80))
+        for idx, block in stacks:
+            dense[idx[:, :, None], idx[:, None, :]] = block
+        op = Operator(self.SHAPE, blocks=stacks)
+        assert op.real and op._stored is None
+        assert op.trace() == complex(np.trace(dense))
+        assert op.hermitian_defect() == one_shot_defect(dense) == 0.0
+        assert op._stored is None
+        values = op.values
+        assert values.dtype == np.float64 and values.tobytes() == dense.tobytes()
+        assert op.values is values
+        entries = op.entries
+        assert entries.dtype == np.complex128 and np.array_equal(entries, dense)
+        assert op.entries is entries and op.values.tobytes() == dense.tobytes()
+        assert op.block_form is not None
+        assert Operator(self.SHAPE, dense).block_form is None
+
+    def test_complex_blocks_and_entries_read_first(self):
+        stacks = random_block_form(stream_rng(51), [(2, 20), (5, 8)], real=False)
+        op = Operator(self.SHAPE, blocks=stacks)
+        assert not op.real
+        dense = np.zeros((80, 80), dtype=np.complex128)
+        for idx, block in stacks:
+            dense[idx[:, :, None], idx[:, None, :]] = block
+        assert op.entries.tobytes() == dense.tobytes()
+        assert op.values is op.entries
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("broken", ["non-hermitian", "nan", "inf", "repeated",
+                                        "missing", "descending", "descending-unsigned",
+                                        "out-of-range",
+                                        "shape", "both", "neither"])
+    def test_constructor_refuses(self, broken):
+        stacks = [(idx.copy(), block.copy()) for idx, block in random_block_form(
+            stream_rng(52), [(1, 20), (3, 20)])]
+        (idx1, block1), (idx3, block3) = stacks
+        error = ParameterError
+        if broken == "non-hermitian":
+            block3[4, 0, 2] += 1e-9
+        elif broken == "nan":
+            block3[7, 1, 1] = np.nan
+        elif broken == "inf":
+            block3[7, 0, 1] = block3[7, 1, 0] = np.inf
+        elif broken == "repeated":
+            idx1[3, 0] = idx1[4, 0]
+        elif broken == "missing":
+            stacks = stacks[1:]
+        elif broken == "descending":
+            idx3[5] = idx3[5][::-1]
+        elif broken == "descending-unsigned":
+            idx3[5] = idx3[5][::-1]
+            stacks = [(idx1, block1), (idx3.astype(np.uint64), block3)]
+        elif broken == "out-of-range":
+            idx1[0, 0] = 80
+        elif broken == "shape":
+            stacks = [(idx1, block1), (idx3, block3[:, :2])]
+            error = ShapeMismatch
+        with pytest.raises(error):
+            if broken == "both":
+                Operator(self.SHAPE, np.eye(80), blocks=stacks)
+            elif broken == "neither":
+                Operator(self.SHAPE)
+            else:
+                Operator(self.SHAPE, blocks=stacks)
+        if broken == "non-hermitian":
+            block3[4, 0, 2] -= 1e-9
+            Operator(self.SHAPE, blocks=stacks)  # the same blocks pass once repaired
+
+    @pytest.mark.parametrize("d,t", [(2, 2), (4, 2), (3, 3), (8, 2), (4, 4), (32, 2),
+                                     (4, 5), (16, 3)])
+    def test_moment_and_projector_equal_the_class_scatter(self, d, t):
+        # up to D = 4096; the dense oracle scatters each class's constant
+        count = comb(d + t - 1, t)
+        moment = haar_moment(d, t)
+        assert moment.real and moment.block_form is not None
+        assert moment.values.tobytes() == _class_scatter(
+            d, t, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP, count).tobytes()
+        if d**t <= 1024:
+            assert sym_projector(d, t).values.tobytes() == _class_scatter(
+                d, t, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP, 1).tobytes()
+
+    def test_block_pair_matches_the_dense_operands(self):
+        # the join of two different partitions (blocks of 4 against blocks
+        # of 2 on other indices) is coarser than either
+        rng = stream_rng(53)
+        a = Operator(self.SHAPE, blocks=random_block_form(rng, [(4, 20)]))
+        b = Operator(self.SHAPE, blocks=random_block_form(rng, [(2, 40)]))
+        dense_a, dense_b = (Operator(self.SHAPE, op.values.copy()) for op in (a, b))
+        for op, dense in ((a, dense_a), (b, dense_b)):
+            assert trace_norm(op) == trace_norm(dense)
+            assert numeric_rank(op) == numeric_rank(dense) == 80
+        assert trace_distance(a, b) == pytest.approx(
+            trace_distance(dense_a, dense_b), abs=1e-13)
+        assert trace_distance(a, b) == pytest.approx(
+            0.5 * np.abs(np.linalg.eigvalsh(a.values - b.values)).sum(), abs=1e-13)
+
+    def test_exact_cancellation_inside_the_join(self):
+        # both operands hold the same off-diagonal entries on 40 blocks of 2,
+        # so a - b is diagonal: its zero pattern splits every block the join
+        # keeps whole
+        rng = stream_rng(54)
+        stacks = random_block_form(rng, [(2, 40)])
+        (idx, block), = stacks
+        shifted = block.copy()
+        shifted[:, [0, 1], [0, 1]] += rng.uniform(-1, 1, (40, 2))
+        a = Operator(self.SHAPE, blocks=[(idx, block)])
+        b = Operator(self.SHAPE, blocks=[(idx, shifted)])
+        assert _block_indices(a.values, b.values)[0].shape == (80, 1)
+        dense = trace_distance(Operator(self.SHAPE, a.values.copy()),
+                               Operator(self.SHAPE, b.values.copy()))
+        assert abs(trace_distance(a, b) - dense) <= 1e-15
+
+    def test_spectral_step_reads_no_dense_matrix(self, monkeypatch):
+        # every spectral function on block operators above D = 64 works on
+        # the blocks; the Operator would assemble only on a dense read
+        rng = stream_rng(55)
+        stacks = random_block_form(rng, [(1, 8), (3, 24)])
+        a = Operator(self.SHAPE, blocks=[(idx, block @ block) for idx, block in stacks])
+        b = Operator(self.SHAPE, blocks=random_block_form(rng, [(2, 40)]))
+        assembled = []
+        assemble = Operator._assemble
+        monkeypatch.setattr(Operator, "_assemble",
+                            lambda op, dtype: assembled.append(op.dim) or assemble(op, dtype))
+        vals = _spectrum(a)
+        system = _psd_eigh(a)
+        trace_norm(a), trace_distance(a, b), numeric_rank(b)
+        root = pinv_sqrt(a)
+        assert assembled == []
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(a.values), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(root.values, dense_pinv_sqrt(a), rtol=0, atol=1e-12)
+        assert [idx.shape for idx, _, _ in system] == [(8, 1), (24, 3)]
+        assert assembled == [80, 80]

@@ -17,6 +17,7 @@ from chslab.errors import (
     ParameterError,
     PreconditionViolated,
 )
+from chslab import commitment as cm
 from chslab import pseudo
 from chslab.linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, \
     StateVector, _dense_eigh, _psd_eigh, _spectrum, permute_registers, pinv_sqrt, \
@@ -454,6 +455,7 @@ class TestDenseBuildOracle:
         (4, 4, 1, prfs_charges([(0, 1), (1, 1)], (2, 1))),
         (4, 4, 0, prfs_charges([(0, 1), (1, 0), (0, 1)], (1, 1, 1))),
         (3, 3, 0, []),                          # no key: the moment itself
+        (16, 3, 0, [range(1)]),                 # D = 4096, prs lam = n = 4, t = 2
     ])
     def test_keyed_state(self, d, total, shift, charges):
         keyed = _keyed_state(d, total, shift, charges, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
@@ -467,6 +469,7 @@ class TestDenseBuildOracle:
         (4, [[0, 2], [1], [3]]),                # repeated queries: permuted
         (2, [[1, 3], [0, 4], [2]]),
         (5, [[0, 1]]),
+        (16, [[0], [1, 2]]),                    # D = 4096
     ])
     def test_ideal_state(self, d, groups):
         ideal = _ideal_state(d, groups, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
@@ -489,15 +492,45 @@ class TestDenseBuildOracle:
             finally:
                 tracemalloc.stop()
 
-        # at D = 1024 one float64 matrix is 8 MiB; the keyed state holds the
-        # moment and its output, the ideal state its output alone (the
-        # per-group moments are 32-square), and neither makes a complex
-        # copy, a D x D mask or a Kronecker product
+        # at D = 1024 one float64 matrix is 8 MiB; both states are block
+        # operators, holding their 2016 and 1024 nonzeros and D-long index
+        # arrays, and neither makes a D x D matrix, mask or Kronecker product
         mib = 1024**2
         assert peak(lambda: _keyed_state(32, 2, 0, [range(1)], DEFAULT_DIM_CAP,
-                                         DEFAULT_ENUM_CAP)) < 2 * 8 * mib + mib
+                                         DEFAULT_ENUM_CAP)) < mib
         assert peak(lambda: _ideal_state(32, [[0], [1]], DEFAULT_DIM_CAP,
-                                         DEFAULT_ENUM_CAP)) < 8 * mib + mib
+                                         DEFAULT_ENUM_CAP)) < mib
+
+
+class TestBlockMemory:
+    """The exact path above D = 64 holds no D x D array: each call's traced
+    peak stays below one float64 D x D matrix."""
+
+    @pytest.mark.parametrize("call,dim", [
+        pytest.param(lambda: prs_hybrids(PseudoParams(5, 5, 1, 1)), 1024, id="prs-5511"),
+        pytest.param(lambda: prs_hybrids(PseudoParams(2, 2, 2, 3)), 1024, id="prs-2223"),
+        pytest.param(lambda: prs_hybrids(PseudoParams(4, 4, 1, 2)), 4096, id="prs-4412"),
+        pytest.param(lambda: prs_multikey_hybrids(PseudoParams(3, 3, 1, 1), 2), 512,
+                     id="multikey"),
+        pytest.param(lambda: prfs_hybrids(PseudoParams(2, 3, 2, 1, (1, 1)), [(0,), (1,)]),
+                     512, id="prfs"),
+        pytest.param(lambda: cm.hiding_distance(cm.CommitmentParams(2, 3, 2, 1)), 512,
+                     id="hiding"),
+        pytest.param(lambda: rank_attack(PseudoParams(3, 3, 1, 2)), 512, id="rank-attack"),
+    ])
+    def test_peak_below_one_dense_matrix(self, call, dim):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dim**2
+
+    def test_prs_hybrids_at_4096(self):
+        res = prs_hybrids(PseudoParams(4, 4, 1, 2))
+        assert res.keyed.dim == 4096
+        assert res.td == 0.09803921568627452
 
 
 class TestPrsHybrids:

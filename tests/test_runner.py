@@ -14,6 +14,7 @@ from chslab import registry
 from chslab import typespace as ts
 from chslab.cli import load_config, main
 from chslab.errors import ConfigInvalid
+from chslab.linalg import Operator, RegisterShape
 from chslab.registry import (
     Caps,
     ExperimentConfig,
@@ -608,3 +609,45 @@ name = not-an-experiment
         bad.write_text("[params]\nv = 5\n")
         with pytest.raises(ConfigInvalid):
             load_config(str(bad))
+
+
+class TestDensityContract:
+    """The keyed state's rows read a block operator's blocks and fail on a
+    trace or a least eigenvalue off by 1e-6, below and above D = 64."""
+
+    @staticmethod
+    def block_density(dim, diagonal):
+        # blocks of 2 on the index pairs (2k, 2k+1), with a small coupling
+        idx = np.arange(dim).reshape(-1, 2)
+        blocks = np.zeros((dim // 2, 2, 2))
+        blocks[:, [0, 1], [0, 1]] = np.asarray(diagonal).reshape(-1, 2)
+        blocks[:, 0, 1] = blocks[:, 1, 0] = 1e-3 / dim
+        return Operator(RegisterShape((dim,)), blocks=[(idx, blocks)])
+
+    @staticmethod
+    def rows(op):
+        rec = registry._Recorder()
+        registry._density_contract(rec, "keyed", op)
+        return {c.name: c.passed for c in rec.rows}
+
+    @pytest.mark.parametrize("dim", [16, 128])
+    def test_rows_fail_on_their_defect(self, dim):
+        exact = np.full(dim, 1.0 / dim)
+        assert self.rows(self.block_density(dim, exact)) == {
+            "keyed-hermitian-defect": True, "keyed-trace": True,
+            "keyed-min-eigenvalue": True}
+        heavy = self.block_density(dim, exact * (1 + 1e-6))
+        assert abs(heavy.trace().real - (1 + 1e-6)) < 1e-12
+        assert self.rows(heavy) == {
+            "keyed-hermitian-defect": True, "keyed-trace": False,
+            "keyed-min-eigenvalue": True}
+        negative = exact.copy()
+        negative[-2:] = [2.0 / dim + 1e-6, -1e-6]  # the trace stays 1
+        op = self.block_density(dim, negative)
+        low = float(np.linalg.eigvalsh(op.block_form[0][1][-1]).min())
+        assert -1.1e-6 < low < -1e-6 and abs(op.trace().real - 1.0) < 1e-12
+        assert self.rows(op) == {
+            "keyed-hermitian-defect": True, "keyed-trace": True,
+            "keyed-min-eigenvalue": False}
+        if dim > 64:
+            assert op._stored is None and heavy._stored is None
