@@ -29,7 +29,7 @@ from .linalg import (
     StateVector,
     fidelity,
 )
-from .pseudo import _hybrid, _labels_agree, _phases
+from .pseudo import _hybrid, _phases
 from .typespace import DEFAULT_ENUM_CAP
 
 # dimension of the environment register E of a malicious sender's strategy
@@ -156,15 +156,17 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     shape = RegisterShape((d,)).check_cap(cap)
     if common.dim != d:
         raise ShapeMismatch(f"common state dimension {common.dim} != 2^n = {d}")
-    re, im = common.amplitudes.real, common.amplitudes.imag
-    idx = np.arange(d)[:, None]
-    # |amps><amps| from float64 products: a complex multiply may fuse them,
-    # depending on the CPU features numpy dispatches to
-    rho0 = np.empty((d, d), dtype=np.complex128)
-    rho0.real = np.outer(re, re) + np.outer(im, im)
-    rho0.imag = np.outer(im, re) - np.outer(re, im)
-    rho0 *= _labels_agree(d, 1, n - lam, [(0,)], idx, idx.T)
-    F = fidelity(Operator(shape, rho0), Operator(shape, np.eye(d) / d))
+    # the key average keeps the 2^lam blocks of |amps><amps| on which the
+    # top lam bits agree, from float64 products: a complex multiply may fuse
+    # them, depending on the CPU features numpy dispatches to
+    re, im = (part.reshape(-1, 2**(n - lam)) for part in (common.amplitudes.real,
+                                                            common.amplitudes.imag))
+    block = np.empty(re.shape + re.shape[1:], dtype=np.complex128)
+    block.real = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
+    block.imag = im[:, :, None] * re[:, None, :] - re[:, :, None] * im[:, None, :]
+    rho0 = Operator(shape, blocks=[(np.arange(d).reshape(re.shape), block)])
+    mixed = Operator(shape, blocks=[(np.arange(d)[:, None], np.full((d, 1, 1), 1.0 / d))])
+    F = fidelity(rho0, mixed)
     return F, float(exact.fidelity_bound(lam, n))
 
 

@@ -20,13 +20,16 @@ otherwise, so how an operator is stored is decided here alone.
 only when ``entries`` is first read, and the copy replaces its float64
 array, so no library path makes it.  A block operator assembles its dense
 matrix only on the first read of ``values`` or ``entries`` and keeps it
-under the same rule; its trace, its Hermitian defect and, above D = 64,
-its spectral step read the blocks, so no library path assembles it there.
-Haar moments, label masks, ideal products and PPT blocks are real in the
-computational basis, and partial trace, partial transpose and register
-permutation keep the mark; the first two reshape ``values`` and return
-dense operators, and the permutation of a block operator relabels its
-blocks.
+under the same rule; its trace, its Hermitian defect, its partial
+transpose, its register permutation and, above D = 64, its spectral step
+read the blocks, so no library path assembles it there.  Haar moments,
+label masks, ideal products and PPT blocks are real in the computational
+basis, and partial trace, partial transpose and register permutation keep
+the mark.  Partial trace reshapes ``values`` and returns a dense operator;
+partial transpose and permutation return a dense operator for a dense
+one, and a block operator for a block one: the permutation relabels its
+blocks, and the partial transpose moves each entry and joins the moved
+entries' rows and columns into its new blocks.
 
 Every operator is Hermitian, checked exactly when it is built, and a NaN
 or infinite entry fails the check.  A dense matrix's largest |m - m^H| is
@@ -42,28 +45,24 @@ float64, and any other matrix whose imaginary part is exactly zero is also
 handed to LAPACK's real symmetric solver, which finds the same spectrum in
 a fraction of the complex solver's time; a matrix with any nonzero
 imaginary entry takes the complex Hermitian solver.  The choice is read
-from the input, never set by a flag, and made once for the whole matrix.
-Above D = 64 the solve runs on blocks, since a matrix that is block
-diagonal up to a permutation has the union of its blocks' spectra, and the
-blocks of each size go to the solver as one batched stack.  When every
-operand is a block operator the blocks are the join of their partitions,
-found by min-label passes over one D-long label array, and each is
-gathered from the operands' blocks.  Otherwise they are the connected
-components of the dense matrix's exact zero pattern, found over its lower
-triangle (the part LAPACK reads), and ``trace_distance`` reads the
-pattern of a - b as ``a != b``.  Either way each block holds
-``a[idx] - b[idx]``, one subtraction per entry, and the D x D difference
-is never formed.  The join is the zero pattern's components unless an
-entry cancels exactly in a - b; at every hybrid distance of the exact path
-it is, so the spectra are the dense ones bit for bit.  The 1024-square
-hybrid differences split into blocks of at most 18, and the 720-square PPT
-block at (d, t) = (10, 2) into 90 blocks of at most 8.  At D <= 64, or
-with one block, the dense solve is as fast or faster and takes the whole
-matrix.  The eigenvalues come back ascending; the eigenvectors come back
-per block, as a block eigensystem (see ``_spectrum``), so no D x D
-eigenvector matrix is formed: ``pinv_sqrt`` returns a block operator on
-the eigensystem's blocks, and only ``fidelity`` assembles the dense
-eigenvector matrix (``_dense_eigh``).
+from the input, never set by a flag.
+
+Structure is built, never searched for: one rule decides how a spectrum
+is solved.  Above D = 64, operands that are all block operators are solved
+on the join of their partitions, found by min-label passes over one
+D-long label array; a matrix that is block diagonal up to a permutation
+has the union of its blocks' spectra, and the blocks of each size go to
+the solver as one batched stack.  Each block holds ``a[idx] - b[idx]``,
+gathered from the operands' blocks with one subtraction per entry, so the
+D x D difference is never formed.  Any other operand, a dense one or one
+at D <= 64, is solved whole.  The 1024-square hybrid differences split
+into blocks of at most 18, and the 720-square PPT block at (d, t) =
+(10, 2) into 90 Kneser copies of 8.  The eigenvalues come back ascending;
+the eigenvectors come back per block, as a block eigensystem (see
+``_spectrum``), so no D x D eigenvector matrix is formed for a block
+operand: ``pinv_sqrt`` returns a block operator on the eigensystem's
+blocks, and only ``fidelity`` assembles the dense eigenvector matrix
+(``_dense_eigh``).
 
 Flat-index convention (fixed globally, documented only here): register 0
 is the most significant digit of the flat index.  A basis label
@@ -118,8 +117,12 @@ RANK_TOL = 1e-8
 # (256 KiB each) stay in L2 while their defect is taken
 _HERM_TILE = 128
 
-# flat dimension up to which a spectral solve takes the whole matrix; see
-# _block_indices for the measurement
+# flat dimension up to which a spectral solve takes a block operator whole.
+# Median times with one BLAS thread, dense solve against batched blocks, over
+# real and complex matrices made of blocks of 1, 6 or 24 in random order: at
+# D = 64 0.07-0.44 ms against 0.10-0.57 ms (dense faster in 5 of the 6
+# cases), at D = 96 0.15-1.05 ms against 0.10-0.71 ms (blocks faster in 5 of
+# 6), at D = 128 0.32-2.0 ms against 0.19-0.92 ms
 _BLOCK_MIN_DIM = 64
 
 # eigenvalues at or below this many D*eps times the largest are taken as the
@@ -369,9 +372,39 @@ def partial_trace(m: Operator, keep) -> Operator:
 
 
 def partial_transpose(m: Operator, over) -> Operator:
-    """Transpose the listed tensor factors in the computational basis."""
+    """Transpose the listed tensor factors in the computational basis.
+
+    Entry (r, c) moves to (r', c'), the ``over`` registers' digits swapped
+    between row and column: with o(i) the flat contribution of those
+    digits to index i, r' = r - o(r) + o(c) and c' = c - o(c) + o(r).  A
+    dense operator is reshaped.  A block operator gives a block operator:
+    its blocks are the join of the moved (r', c') pairs (:func:`_join`),
+    and each entry is scattered into its new block, so no dense matrix is
+    made.
+    """
     over = m.shape.validate_registers(over)
     dims = m.shape.dims
+    if m.block_form is not None:
+        flat = np.arange(m.dim)
+        offset = np.zeros(m.dim, dtype=np.intp)
+        for reg in over:
+            stride = prod(dims[reg + 1:])
+            offset += flat // stride % dims[reg] * stride
+        moved = []
+        for idx, _ in m.block_form:
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            shift = offset[cols] - offset[rows]
+            moved.append((rows + shift, cols - shift))
+        groups = _label_groups(_join(
+            [np.stack([rows.ravel(), cols.ravel()], axis=1) for rows, cols in moved], m.dim))
+        _, head, pos = _flat_offsets(groups, m.dim)
+        sizes = [idx.size * idx.shape[1] for idx in groups]
+        out = np.zeros(sum(sizes), dtype=m.block_form[0][1].dtype)
+        for (rows, cols), (_, block) in zip(moved, m.block_form):
+            out[head[rows] + pos[cols]] = block
+        return Operator(m.shape, blocks=[
+            (idx, part.reshape(idx.shape + idx.shape[1:]))
+            for idx, part in zip(groups, np.split(out, np.cumsum(sizes)[:-1]))])
     r = len(dims)
     legs = m.values.reshape(dims + dims)
     axes = list(range(2 * r))
@@ -416,86 +449,6 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _real_pair_if_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a.real, b.real)`` when ``a - b`` has no nonzero imaginary entry,
-    else ``(a, b)``, found without forming ``a - b``.  The real part of
-    a - b is a.real - b.real bit for bit, so this is the choice
-    ``_real_if_exact`` makes on the difference."""
-    imag = [m.imag for m in (a, b) if np.iscomplexobj(m)]
-    if len(imag) == 2:
-        differs = (imag[0] != imag[1]).any()
-    else:
-        differs = bool(imag) and imag[0].any()
-    return (a, b) if differs else (a.real, b.real)
-
-
-def _component_roots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Smallest index of each index's connected component in the graph with
-    an edge i -- j wherever (a - b)[i, j] != 0, or a[i, j] != 0 when ``b``
-    is None, and i >= j.
-
-    The pattern is read as ``a != b``, which for finite entries is exactly
-    the zero pattern of a - b, so the difference is never formed.  The
-    lower triangle is what LAPACK reads of a Hermitian matrix; the
-    diagonal tiles add a few upper entries, which can only merge
-    components.  Min-label passes over row tiles: in each tile every row
-    takes the smallest label among its nonzero columns and hands its own
-    label to them, and the index a row or column is labelled with takes
-    the same minimum; then every label is followed to its root.  Lowering
-    the labels' own labels too is what keeps the pass count low on long
-    chains: a randomly numbered 2048-path needs 6 passes, against 215 when
-    only the rows and columns move.  A label only moves to an index of the
-    same component, so a pass that changes nothing leaves each component
-    on its smallest index.  A pass costs O(D^2); the zero pattern is kept
-    as bool tiles, D^2/2 bytes in all, and no integer temporary is longer
-    than D.
-    """
-    n, t = len(a), _HERM_TILE
-    starts = range(0, n, t)
-    pattern = [a[r:r + t, :r + t] != (0 if b is None else b[r:r + t, :r + t])
-               for r in starts]
-    labels = np.arange(n)
-    while True:
-        before = labels.copy()
-        for r, nz in zip(starts, pattern):
-            rows, cols = np.arange(r, r + len(nz)), np.arange(nz.shape[1])
-            pull = np.minimum.reduce(np.broadcast_to(labels[cols], nz.shape), axis=1,
-                                     where=nz, initial=n)
-            np.minimum.at(labels, labels[rows], pull)
-            np.minimum.at(labels, rows, pull)
-            push = np.minimum.reduce(np.broadcast_to(labels[rows][:, None], nz.shape),
-                                     axis=0, where=nz, initial=n)
-            np.minimum.at(labels, labels[cols], push)
-            np.minimum.at(labels, cols, push)
-        while not np.array_equal(roots := labels[labels], labels):
-            labels = roots
-        if np.array_equal(labels, before):
-            return labels
-
-
-def _block_indices(a: np.ndarray, b: np.ndarray | None = None) -> list[np.ndarray] | None:
-    """The components of the exact zero pattern of ``a - b`` (of ``a`` when
-    ``b`` is None) as ``(nblocks, s)`` index arrays, one per block size s,
-    each row ascending; None when the matrix is solved whole.
-
-    Up to _BLOCK_MIN_DIM, or with one component, the whole matrix is
-    solved.  Median times with one BLAS thread, dense solve against
-    labelling plus batched blocks, over real and complex matrices made of
-    blocks of 1, 6 or 24 in random order: at D = 64 0.07-0.44 ms against
-    0.10-0.57 ms (dense faster in 5 of the 6 cases), at D = 96 0.15-1.05 ms
-    against 0.10-0.71 ms (blocks faster in 5 of 6), at D = 128 0.32-2.0 ms
-    against 0.19-0.92 ms, at D = 256 2.2-11.5 ms against 0.50-2.0 ms.
-    """
-    if len(a) <= _BLOCK_MIN_DIM:
-        return None
-    # each block's rows ascend, so its lower triangle, the one LAPACK reads,
-    # is a part of the matrix's lower triangle
-    groups = _label_groups(_component_roots(a, b))
-    if len(groups) == 1 and len(groups[0]) == 1:
-        return None
-    return groups
-
-
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
     """The indices of each distinct value of the nonnegative integer
     ``labels`` as ``(ngroups, s)`` arrays, one per group size s, sizes
@@ -512,27 +465,49 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
             for s in np.flatnonzero(np.bincount(group_sizes))]
 
 
-def _join(forms, n: int) -> np.ndarray:
-    """The smallest index of each index's block in the join of the block
-    forms' partitions of ``[0, n)``: the finest partition that each of them
-    refines.
+def _join(rows, n: int) -> np.ndarray:
+    """The smallest index of each index's block in the finest partition of
+    ``[0, n)`` that puts the indices of every row of every ``(k, s)``
+    integer array in ``rows`` into one block.  Given the index stacks of
+    block forms, that is the join of their partitions, the finest one each
+    of them refines; given ``(k, 2)`` pair rows, the connected components
+    of the graph with those edges.
 
-    Min-label passes over one D-long label array: every block takes the
-    smallest label among its indices, then every label is followed to its
-    root.  Labels only fall, each to an index of the same joined block, so
-    a pass that changes nothing leaves each joined block on its smallest
-    index.
+    Min-label passes over one D-long label array: every row takes the
+    smallest label among its indices and lowers each of them to it with
+    ``np.minimum.at``, which keeps the smallest of repeated writes to one
+    index (a fancy assignment keeps the last, so the chain [[0, 1], [1, 2]]
+    would stop as two blocks); then every label is followed to its root.
+    Labels only fall, each to an index of the same block, so a pass that
+    changes nothing leaves each block on its smallest index.
     """
     labels = np.arange(n)
     while True:
         before = labels.copy()
-        for form in forms:
-            for idx, _ in form:
-                labels[idx] = labels[idx].min(axis=1, keepdims=True)
+        for idx in rows:
+            np.minimum.at(labels, idx, labels[idx].min(axis=1, keepdims=True))
         while not np.array_equal(roots := labels[labels], labels):
             labels = roots
         if np.array_equal(labels, before):
             return labels
+
+
+def _flat_offsets(groups, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of a block form on ``groups`` (``(nb, s)`` index
+    arrays partitioning ``[0, n)``) sits when its ``(nb, s, s)`` stacks are
+    laid end to end: entry (p, q) of the block holding index i, p its
+    position there, sits at ``head[i] + pos[j]`` for the index j at
+    position q, and ``base[i]``, the block's start, is the same for every
+    index of one block only.  Returns ``(base, head, pos)``."""
+    base, head, pos = (np.empty(n, dtype=np.intp) for _ in range(3))
+    start = 0
+    for idx in groups:
+        nb, s = idx.shape
+        base[idx] = start + s * s * np.arange(nb)[:, None]
+        pos[idx] = np.arange(s)
+        head[idx] = base[idx] + s * pos[idx]
+        start += nb * s * s
+    return base, head, pos
 
 
 def _gather(op: Operator, groups) -> list[np.ndarray]:
@@ -543,17 +518,7 @@ def _gather(op: Operator, groups) -> list[np.ndarray]:
     from ``values``."""
     if op.block_form is None:
         return [op.values[idx[:, :, None], idx[:, None, :]] for idx in groups]
-    # the blocks' entries end to end; entry (p, q) of the block holding
-    # index i, p its position there, sits at head[i] + q, and base[i] is
-    # the same for every index of one block only
-    base, head, pos = (np.empty(op.dim, dtype=np.intp) for _ in range(3))
-    start = 0
-    for idx, block in op.block_form:
-        nb, s = idx.shape
-        base[idx] = start + s * s * np.arange(nb)[:, None]
-        pos[idx] = np.arange(s)
-        head[idx] = base[idx] + s * pos[idx]
-        start += block.size
+    base, head, pos = _flat_offsets([idx for idx, _ in op.block_form], op.dim)
     flat = np.concatenate([block.ravel() for _, block in op.block_form])
     out = []
     for idx in groups:
@@ -572,9 +537,10 @@ def _joined_stacks(operands: list[Operator]) -> tuple[list, list]:
     Each entry is one subtraction of the two operands' entries, 0 where an
     operand holds none, so each stack holds the dense difference's floats;
     the stacks are real when no entry of the difference has a nonzero
-    imaginary part, the choice ``_real_pair_if_exact`` makes on the dense
-    operands."""
-    groups = _label_groups(_join([op.block_form for op in operands], operands[0].dim))
+    imaginary part, the choice ``_real_if_exact`` makes on the dense
+    difference."""
+    groups = _label_groups(_join([idx for op in operands for idx, _ in op.block_form],
+                                 operands[0].dim))
     stacks = _gather(operands[0], groups)
     if len(operands) == 2:
         stacks = [in_a - in_b for in_a, in_b in zip(stacks, _gather(operands[1], groups))]
@@ -594,44 +560,33 @@ def _spectrum(a, b=None, vectors: bool = False):
     ``vals[k, j]`` on the indices ``idx[k]``.  A matrix solved whole is one
     block on all its indices.
 
-    A matrix that is block diagonal up to a permutation has the union of
-    its blocks' spectra; the blocks of one size go to the solver as one
-    ``(nblocks, s, s)`` stack.  Above ``_BLOCK_MIN_DIM``, operands that are
-    all block operators are solved on the join of their partitions
-    (:func:`_joined_stacks`), which no dense matrix enters.  Otherwise the
-    blocks are the components of the dense difference's exact zero pattern
-    (:func:`_block_indices`), gathered as ``a[idx] - b[idx]``, one
-    subtraction per entry.  Neither the D x D difference nor a D x D
-    eigenvector matrix is formed; only a matrix solved whole (D <= 64, or
-    one component) is handed to the solver as one D x D array.
+    One rule: above ``_BLOCK_MIN_DIM``, operands that are all block
+    operators are solved on the join of their partitions
+    (:func:`_joined_stacks`), the blocks of each size as one
+    ``(nblocks, s, s)`` stack, and neither the D x D difference nor a D x D
+    eigenvector matrix is formed.  Any other operand is solved whole, as
+    ``solve(_real_if_exact(a - b))``: its structure is whatever its builder
+    gave it, never searched for here.
     """
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     operands = [op for op in (a, b) if op is not None]
+    whole = None
     if (all(isinstance(op, Operator) and op.block_form is not None for op in operands)
             and a.dim > _BLOCK_MIN_DIM):
         groups, stacks = _joined_stacks(operands)
     else:
         a, b = (op.values if isinstance(op, Operator) else op for op in (a, b))
-        if b is None:
-            a = _real_if_exact(a)
-        else:
-            a, b = _real_pair_if_exact(a, b)
-        groups = _block_indices(a, b)
-        if groups is None:
-            try:
-                solved = solve(a if b is None else a - b)
-            except np.linalg.LinAlgError as exc:
-                raise EigsFailed(str(exc)) from exc
-            if not vectors:
-                return solved
-            return [(np.arange(len(a))[None], solved[0][None], solved[1][None])]
-        blocks = ((idx[:, :, None], idx[:, None, :]) for idx in groups)
-        stacks = (a[rows, cols] if b is None else a[rows, cols] - b[rows, cols]
-                  for rows, cols in blocks)
+        whole = _real_if_exact(a if b is None else a - b)
+        stacks = [whole]
     try:
         solved = [solve(stack) for stack in stacks]
     except np.linalg.LinAlgError as exc:
         raise EigsFailed(str(exc)) from exc
+    if whole is not None:
+        if not vectors:
+            return solved[0]
+        vals, vecs = solved[0]
+        return [(np.arange(len(whole))[None], vals[None], vecs[None])]
     if not vectors:
         return _ascending(solved)
     return [(idx, vals, vecs) for idx, (vals, vecs) in zip(groups, solved)]
@@ -651,16 +606,13 @@ def trace_distance(a: Operator, b: Operator) -> float:
     """Half the trace norm of the difference.
 
     The difference of two operators is Hermitian, since both were checked
-    when they were built, so it goes straight to the eigenvalue solver.
-    The D x D difference is never formed (see :func:`_spectrum`): two
-    block operators above ``_BLOCK_MIN_DIM`` are solved on the join of
-    their partitions, and any other pair on the components of the zero
-    pattern, read as ``a != b``; each block is gathered as
-    ``a[idx] - b[idx]``, the dense difference's floats.  When the join is
-    the components, as at every hybrid distance of the exact path, the
-    spectrum is the dense difference's bit for bit.  The difference of two
-    real operators is float64, the real part of their complex difference
-    bit for bit.
+    when they were built, so it goes straight to the eigenvalue solver
+    under :func:`_spectrum`'s one rule: two block operators above
+    ``_BLOCK_MIN_DIM`` are solved on the join of their partitions, each
+    block gathered as ``a[idx] - b[idx]``, the dense difference's floats,
+    and the D x D difference is never formed; any other pair is solved
+    whole, as the dense difference.  The difference of two real operators
+    is float64, the real part of their complex difference bit for bit.
     """
     if a.shape.dims != b.shape.dims:
         raise ShapeMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")
@@ -702,13 +654,26 @@ def _above_noise(vals: np.ndarray, dim: int) -> np.ndarray:
     return vals > _NOISE_FLOOR * dim * np.finfo(np.float64).eps * vals.max(initial=0.0)
 
 
+def _times(rows: np.ndarray, op: Operator) -> np.ndarray:
+    """``rows @ op.values``, read from the blocks of a block operator so
+    that its dense matrix is not assembled: each entry sums the products
+    on one block, the nonzero terms of the dense product."""
+    if op.block_form is None:
+        return rows @ _real_if_exact(op.values)
+    out = np.empty(rows.shape, dtype=np.result_type(rows, op.block_form[0][1]))
+    for idx, block in op.block_form:
+        out[:, idx] = np.einsum("kns,nst->knt", rows[:, idx], block)
+    return out
+
+
 def fidelity(a: Operator, b: Operator) -> float:
     """Squared-trace fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2.
 
     The middle matrix is formed on a's support only, the k eigenvectors V
     whose eigenvalues L lie above the eigensolver's rounding noise, as the
     k x k matrix sqrt(L) V^H b V sqrt(L); it has the nonzero spectrum of
-    sqrt(a) b sqrt(a).  Its own spectrum is cut at the same floor.  Noise of
+    sqrt(a) b sqrt(a), with V^H b taken on b's blocks when b has them
+    (:func:`_times`).  Its own spectrum is cut at the same floor.  Noise of
     order eps on either null space would otherwise enter F as sqrt(eps),
     about 1e-8 on a rank-deficient argument.
     """
@@ -718,10 +683,9 @@ def fidelity(a: Operator, b: Operator) -> float:
     avals, avecs = _dense_eigh(_psd_eigh(a))
     support = _above_noise(avals, dim)
     avals, avecs = avals[support], avecs[:, support]
-    b_values = _real_if_exact(b.values)
-    _require_psd(_spectrum(b_values), PSD_TOL)  # validate the second argument too
+    _require_psd(_spectrum(b), PSD_TOL)  # validate the second argument too
     root = avecs * np.sqrt(avals)
-    mid = root.conj().T @ b_values @ root
+    mid = _times(root.conj().T, b) @ root
     mid = 0.5 * (mid + mid.conj().T)
     mvals = _spectrum(mid)
     mvals = mvals[_above_noise(mvals, dim)]

@@ -24,11 +24,16 @@ Since C(d,2t) C(2t,t) = C(d,t) C(d-t,t), the two weights are equal and the
 j = 0 block is exactly zero, so it is never built.  Each j >= 1 block comes
 from its rule: row (a, b) holds the weight at the columns
 ((a minus b) u X, (b minus a) u X), one for each j-subset X outside a u b,
-scattered into a zero matrix whose row count is checked against the
-dimension cap first.  With s = t - j the block is C(d,s) C(d-s,s) copies of
-the weight times the adjacency of the Kneser graph K(d-2s, t-s), so exact
-equals the Kneser sum; exact is still computed from the built blocks, never
-from that identity.
+after its row count is checked against the dimension cap.  Those columns
+keep the key (a minus b, b minus a), so with s = t - j the block is built
+as a block operator with one diagonal block per key: C(d,s) C(d-s,s)
+copies of the weight times the adjacency of the Kneser graph K(d-2s, t-s).
+Exact therefore equals the Kneser sum, but it is still computed from the
+built blocks' spectra, never from that identity, and the key only names
+the blocks: a column the rule puts outside its row's copy raises.  The
+true-moment half-norm and the collision slacks take the Haar moments'
+blocks through the block partial transpose and a per-row rescaling, so no
+d^(2t)-square matrix is formed.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ from math import comb
 import numpy as np
 
 from . import exact
-from .errors import EnumerationTooLarge, ParameterError
+from .errors import EnumerationTooLarge, ParameterError, PreconditionViolated
 from .linalg import (
     DEFAULT_DIM_CAP,
     Operator,
     RegisterShape,
-    _spectrum,
+    _label_groups,
     partial_transpose,
     trace_distance,
     trace_norm,
@@ -241,15 +246,22 @@ class PptChainResult:
 
 
 def _ppt_blocks(d: int, t: int):
-    """Yield the dense blocks j = 1..t of Gamma(rho) - Gamma(sigma), block j
-    on the pairs (a, b) with |a n b| = j, rows in lexicographic (a, b) order.
+    """Yield the blocks j = 1..t of Gamma(rho) - Gamma(sigma) as block
+    operators, block j on the pairs (a, b) with |a n b| = j, rows in
+    lexicographic (a, b) order.
 
     Row (a, b) of block j >= 1 holds the weight w_rho at the columns
     ((a minus b) u X, (b minus a) u X), one for each j-subset X of the
     d-2t+j elements outside a u b: those are the pairs (c, e) with a and e
     disjoint, c and b disjoint and a u e = c u b.  Gamma(sigma) is zero
-    there, since it lives on disjoint pairs.  Each block is a scatter of
-    C(d-2t+j, j) entries per row into a zero matrix.
+    there, since it lives on disjoint pairs.  Every such column keeps the
+    key (a minus b, b minus a), so the rows of one key, (P u Y, Q u Y) for
+    the j-subsets Y outside P u Q, form one diagonal block: with s = t - j,
+    a copy of the Kneser graph K(d-2s, t-s) times w_rho, C(d,s) C(d-s,s)
+    copies in all.  The columns come from the rule and the key only names
+    the blocks, so a column outside its row's block raises rather than
+    being dropped, and each block is a scatter of C(d-2t+j, j) entries per
+    row into zero blocks.
     """
     member = _subset_members(d, t)
     g = member @ member.T
@@ -267,17 +279,24 @@ def _ppt_blocks(d: int, t: int):
         in_a, in_b = member[a], member[b]
         outside = elements(~(in_a | in_b), d - 2 * t + j)
         picks = outside[:, list(itertools.combinations(range(d - 2 * t + j), j))]
-        ends = []
+        ends, keys = [], []
         for only in (elements(in_a & ~in_b, t - j), elements(in_b & ~in_a, t - j)):
+            keys.append(_subset_ranks(only, d))
             only = np.broadcast_to(only[:, None, :], picks.shape[:2] + only.shape[1:])
             ends.append(_subset_ranks(np.sort(np.concatenate([only, picks], axis=2),
                                               axis=2), d))
         # np.nonzero lists the pairs in row-major order, so their codes
         # a * count + b ascend and a column's position is a binary search
         cols = np.searchsorted(a * count + b, ends[0] * count + ends[1])
-        block = np.zeros((rows, rows))
-        block[np.arange(rows)[:, None], cols] = weight_rho
-        yield block
+        (idx,) = _label_groups(keys[0] * comb(d, t - j) + keys[1])
+        copy, pos = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+        copy[idx] = np.arange(len(idx))[:, None]
+        pos[idx] = np.arange(idx.shape[1])
+        if not (copy[cols] == copy[:, None]).all():
+            raise PreconditionViolated(f"a column of block j={j} leaves its Kneser copy")
+        block = np.zeros(idx.shape + idx.shape[1:])
+        block[copy[:, None], pos[:, None], pos[cols]] = weight_rho
+        yield Operator(RegisterShape((rows,)), blocks=[(idx, block)])
 
 
 def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
@@ -292,9 +311,11 @@ def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
     j = |a n b|, so the norm is the sum over the t+1 blocks of pairs with
     overlap j.  The j = 0 block is never built: on disjoint pairs
     Gamma(rho) joins each pair only to itself, with the weight of sigma.
-    Each j >= 1 block comes from :func:`_ppt_blocks`; its row count is
-    checked against ``cap`` before any block is allocated.  The chain
-    reported is exact <= kneser_sum (= middle) <= factorial_bound <= series_bound.
+    Each j >= 1 block comes from :func:`_ppt_blocks` as a block operator of
+    Kneser copies, and the norm is the sum of their ``trace_norm``s; every
+    block's row count is checked against ``cap`` before any block is
+    allocated.  The chain reported is
+    exact <= kneser_sum (= middle) <= factorial_bound <= series_bound.
     """
     if t < 0 or d <= 2 * t:
         raise ParameterError(f"need d > 2t >= 0, got d={d}, t={t}")
@@ -305,7 +326,7 @@ def ppt_diff_norm(d: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP,
         RegisterShape((comb(d, t) * comb(t, j) * comb(d - t, t - j),)).check_cap(cap)
     norm = 0.0
     for block in _ppt_blocks(d, t):
-        norm += float(np.abs(_spectrum(block)).sum())
+        norm += trace_norm(block)
 
     kneser_sum = 0.0
     for s in range(t):
@@ -335,14 +356,18 @@ def _subset_surrogates(d: int, t: int, rho: Operator,
     t-subset states.  Both moments join a row only to its digit
     permutations, so keeping the rows whose 2t digits are all distinct and
     rescaling gives the mixtures: rho~ = rho mask C(d+2t-1,2t) / C(d,2t)
-    and sigma~ = sigma mask C(d+t-1,t)^2 / (C(d,t) C(d-t,t)).
+    and sigma~ = sigma mask C(d+t-1,t)^2 / (C(d,t) C(d-t,t)).  Whether a
+    row's digits are distinct is constant on each block of the two block
+    operators, so each block's rows are scaled in place of a D x D mask,
+    the same product per entry.
     """
     rows = np.indices((d,) * (2 * t)).reshape(2 * t, -1).T
-    distinct = _fold_good(rows, 0, 1)[:, None]  # single-element folds: distinct digits
+    distinct = _fold_good(rows, 0, 1)  # single-element folds: distinct digits
     scale_rho = comb(d + 2 * t - 1, 2 * t) / comb(d, 2 * t)
     scale_sigma = comb(d + t - 1, t) ** 2 / (comb(d, t) * comb(d - t, t))
-    return (Operator(rho.shape, rho.values * (distinct * scale_rho)),
-            Operator(sigma.shape, sigma.values * (distinct * scale_sigma)))
+    return tuple(Operator(op.shape, blocks=[(idx, block * (distinct[idx] * scale)[:, :, None])
+                                            for idx, block in op.block_form])
+                 for op, scale in ((rho, scale_rho), (sigma, scale_sigma)))
 
 
 def ppt_vs_haar_bound(d: int, t: int, cap: int = DEFAULT_DIM_CAP,

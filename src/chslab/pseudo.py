@@ -537,7 +537,9 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     first register, which is zero between different first-register labels.
     Each D_x is constant on those label blocks, so it commutes with sigma
     and with s = sigma^(-1/2), and every x contributes the same
-    Tr(D_x M D_x s D_x M D_x s) = Tr(M s M s).
+    Tr(D_x M D_x s D_x M D_x s) = Tr(M s M s).  s's blocks refine M's
+    class blocks, so (M s)^2 is taken block by block: on each, M's block
+    times s's entries there, squared.
     """
     if n < 1 or m < 0:
         raise ParameterError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
@@ -545,6 +547,11 @@ def onewayness_quantity(n: int, m: int, cap: int = DEFAULT_DIM_CAP,
     total = m + 1
     sigma = _keyed_state(d, total, 0, [(0,)], cap, enum_cap)
     s = pinv_sqrt(Operator(sigma.shape, blocks=[(idx, d * block)
-                                                for idx, block in sigma.block_form])).values
-    ms = haar_moment(d, total, cap, enum_cap).values @ s
-    return float(np.real(np.trace(ms @ ms))), float(exact.onewayness_bound(n, m))
+                                                for idx, block in sigma.block_form]))
+    moment = haar_moment(d, total, cap, enum_cap)
+    # the diagonal of (M s)^2, summed in index order as np.trace sums it
+    diagonal = np.empty(moment.dim)
+    for idx, block in moment.block_form:
+        ms = block @ _gather(s, [idx])[0]
+        diagonal[idx] = np.diagonal(ms @ ms, axis1=1, axis2=2)
+    return float(diagonal.sum()), float(exact.onewayness_bound(n, m))

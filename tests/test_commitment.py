@@ -207,6 +207,39 @@ class TestFidelityBound:
         assert F == pytest.approx(2.0**-n, abs=1e-10)
         assert F <= bound + 1e-9
 
+    @pytest.mark.parametrize("lam,n,stream,F", [
+        (1, 7, 1, 0.01557195668795171),
+        (1, 8, 0, 0.007809542302495839),
+        (4, 8, 0, 0.0609742213225233),
+    ])
+    def test_pinned_above_the_crossover(self, lam, n, stream, F):
+        # D = 128 and 256: solved on the 2^lam label blocks; one whole
+        # solve of the dense average moves these in the last bits
+        assert fidelity_bound_check(lam, n, sample_haar(2**n, 7, stream=stream))[0] == F
+
+    @pytest.mark.parametrize("lam,n", [(0, 7), (2, 8), (3, 9), (8, 9)])
+    def test_solved_on_the_label_blocks(self, monkeypatch, lam, n):
+        # the averaged state is 2^lam blocks of 2^(n - lam) and I/d is D
+        # blocks of one; neither is assembled or solved whole
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def record(m, *args, _solver=getattr(np.linalg, name), **kwargs):
+                seen.append(np.shape(m))
+                return _solver(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, record)
+
+        def refuse(op, dtype):
+            raise AssertionError(f"assembled {op.shape.dims}")
+
+        monkeypatch.setattr(Operator, "_assemble", refuse)
+        common = sample_haar(2**n, 7, stream=0)
+        F, _ = fidelity_bound_check(lam, n, common)
+        size = 2**(n - lam)
+        # the middle matrix on the support: rank one per block
+        assert seen == [(2**lam, size, size), (2**n, 1, 1), (2**lam, 2**lam)]
+        weights = (np.abs(common.amplitudes) ** 2).reshape(2**lam, -1).sum(axis=1)
+        assert F == pytest.approx(np.sqrt(weights).sum() ** 2 / 2**n, rel=0, abs=1e-14)
+
     def test_parameter_guard(self):
         with pytest.raises(ParameterError):
             fidelity_bound_check(2, 2, sample_haar(4, 0))

@@ -5,6 +5,10 @@ Storage: only linalg may read ``Operator.entries``.  Everything else reads
 linalg alone, no library path makes a real operator's complex128 copy, and
 none assembles a block operator's dense matrix above D = 64.
 
+Spectra: only linalg calls numpy's ``eigh`` or ``eigvalsh``, so every
+eigensolve goes through its one rule (block operators on their blocks,
+anything else whole).
+
 Closed forms: ``exact`` imports only the standard library's exact
 arithmetic, so a closed form shares no code with the numeric construction
 it is checked against, and it is the one module besides typespace that
@@ -29,6 +33,7 @@ from chslab import locc as lc
 from chslab import pseudo as ps
 from chslab.linalg import _BLOCK_MIN_DIM, Operator, RegisterShape
 from chslab.registry import run_suite
+from chslab.typespace import sample_haar
 
 
 def test_only_linalg_reads_entries():
@@ -39,6 +44,18 @@ def test_only_linalg_reads_entries():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert readers == []
+
+
+def test_only_linalg_calls_the_eigensolver():
+    paths = sorted(Path(chslab.__file__).parent.glob("*.py"))
+    assert "linalg.py" in {p.name for p in paths}
+    callers = [f"{path.name}:{node.lineno}"
+               for path in paths if path.name != "linalg.py"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"))
+               or (isinstance(node, ast.Name) and node.id in ("eigh", "eigvalsh"))
+               or (isinstance(node, ast.alias) and node.name in ("eigh", "eigvalsh"))]
+    assert callers == []
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -138,6 +155,12 @@ def test_no_library_path_promotes_a_real_operator(monkeypatch):
     cm.hiding_distance(cm.CommitmentParams(2, 3, 2, 1))
     lc.ppt_diff_norm(10, 2)
     ps.rank_attack(pp(3, 3, 1, 2))
+    # the PPT sandwich's true moments (D = 1296) and the one-wayness product
+    # (D = 512) are taken on their blocks
+    lc.ppt_vs_haar_bound(6, 2)
+    ps.onewayness_quantity(3, 2)
+    # the averaged commit register against I/d at D = 256
+    cm.fidelity_bound_check(2, 8, sample_haar(256, 7))
     assert all(report.passed for report in run_suite("all", 7))
     op = Operator(RegisterShape((2,)), np.eye(2))
     assert op.trace() == 2

@@ -28,14 +28,22 @@ from chslab.linalg import (
     trace_distance,
     trace_norm,
     _BLOCK_MIN_DIM,
-    _block_indices,
     _dense_eigh,
     _hermitian_defect,
+    _join,
+    _joined_stacks,
+    _label_groups,
     _psd_eigh,
     _spectrum,
 )
 from chslab.rng import stream_rng
-from chslab.typespace import DEFAULT_ENUM_CAP, _class_scatter, haar_moment, sym_projector
+from chslab.typespace import (
+    DEFAULT_ENUM_CAP,
+    _class_scatter,
+    _ideal_state,
+    haar_moment,
+    sym_projector,
+)
 
 QUBIT = RegisterShape((2,))
 
@@ -247,6 +255,60 @@ class TestPartialTranspose:
             assert np.abs(pt.entries - pt.entries.conj().T).max() < 1e-10
 
 
+def dense_copy(m: Operator) -> Operator:
+    """The same operator given densely: its ``values`` copied."""
+    return Operator(m.shape, m.values.copy())
+
+
+class TestBlockPartialTranspose:
+    """The partial transpose of a block operator is a block operator whose
+    dense matrix is the dense transpose's, byte for byte."""
+
+    @staticmethod
+    def assert_matches_dense(op: Operator, over) -> Operator:
+        out = partial_transpose(op, over)
+        dense = partial_transpose(dense_copy(op), over)
+        assert out.block_form is not None and out.real is op.real
+        assert out.values.dtype == dense.values.dtype
+        assert out.values.tobytes() == dense.values.tobytes()
+        twice = partial_transpose(out, over)
+        assert twice.block_form is not None
+        assert twice.values.tobytes() == op.values.tobytes()
+        return out
+
+    @pytest.mark.parametrize("d,t", [(4, 2), (5, 4), (6, 4)])
+    def test_haar_moment(self, d, t):
+        self.assert_matches_dense(haar_moment(d, t), range(t // 2, t))
+
+    @pytest.mark.parametrize("d,groups", [(4, [[0], [1]]), (5, [[0, 1], [2, 3]]),
+                                          (3, [[0, 2], [1, 3]]), (4, [[0], [1, 2]])])
+    def test_ideal_state(self, d, groups):
+        op = _ideal_state(d, groups, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
+        registers = len(op.shape)
+        self.assert_matches_dense(op, range(registers // 2, registers))
+
+    @pytest.mark.parametrize("over", [(), (0,), (1, 2), (0, 1, 2)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_random_block_operator(self, over, real):
+        shape = RegisterShape((2, 3, 4))
+        stacks = random_block_form(stream_rng(56), [(1, 4), (2, 4), (3, 2), (6, 1)], real)
+        op = Operator(shape, blocks=stacks)
+        out = self.assert_matches_dense(op, over)
+        if not over:  # nothing moves, so the blocks stay
+            assert sorted(row for idx, _ in out.block_form for row in idx.tolist()) == sorted(
+                row for idx, _ in op.block_form for row in idx.tolist())
+
+    def test_join_chains_through_a_repeated_index(self):
+        # the pair rows [0, 1] and [1, 2] share index 1: one block, which a
+        # fancy assignment of the row minima (last write wins) would miss
+        labels = _join([np.array([[0, 1], [1, 2]])], 4)
+        assert labels.tolist() == [0, 0, 0, 3]
+        assert [idx.tolist() for idx in _label_groups(labels)] == [[[3]], [[0, 1, 2]]]
+        # a chain numbered against its order, given as one stack of blocks
+        labels = _join([np.array([[4, 5], [3, 4], [2, 3], [0, 2]])], 6)
+        assert labels.tolist() == [0, 1, 0, 0, 0, 0]
+
+
 class TestNormsAndDistances:
     def test_trace_norm_identity(self):
         assert trace_norm(Operator(RegisterShape((4,)), np.eye(4))) == pytest.approx(4.0)
@@ -417,6 +479,13 @@ def complex_copy(m: Operator) -> Operator:
     return Operator(m.shape, m.entries.copy())
 
 
+def on_blocks(m: Operator, idx: np.ndarray) -> Operator:
+    """The same operator in block form on the index rows ``idx`` (each
+    ascending), its blocks gathered from ``values``, so a real operator
+    gives float64 blocks and any other complex128 ones."""
+    return Operator(m.shape, blocks=[(idx, m.values[idx[:, :, None], idx[:, None, :]])])
+
+
 def real_built(m: Operator) -> Operator:
     """The same operator built from its float64 real part: marked real."""
     return Operator(m.shape, m.entries.real.copy())
@@ -516,9 +585,9 @@ class TestRealSpectralPath:
     @pytest.mark.parametrize("real,built,expected,nblocks", [
         pytest.param(True, complex_copy, np.float64, 1, id="True-float64"),
         pytest.param(False, complex_copy, np.complex128, 1, id="False-complex128"),
-        # 12 blocks of 8 in random order, D = 96 above the crossover: every
-        # spectral input (a, a - b and the fidelity's middle operator) keeps
-        # the blocks, so each solve is one (12, 8, 8) stack
+        # block operators on 12 blocks of 8 in random order, D = 96 above
+        # the crossover: a, a - b and b are solved as one (12, 8, 8) stack,
+        # and only the fidelity's dense middle matrix whole
         pytest.param(True, complex_copy, np.float64, 12, id="blocks-True-float64"),
         pytest.param(False, complex_copy, np.complex128, 12,
                      id="blocks-False-complex128"),
@@ -530,14 +599,14 @@ class TestRealSpectralPath:
                                                  expected, nblocks):
         rng = stream_rng(12)
         if nblocks == 1:
-            a, b = (random_rank_density(rng, 6, 6, real) for _ in range(2))
-            shape = (6, 6)
+            a, b = (built(random_rank_density(rng, 6, 6, real)) for _ in range(2))
+            shapes = [(6, 6)] * 7
         else:
             blocks = rng.permutation(8 * nblocks).reshape(nblocks, 8)
-            a, b = (random_block_density(rng, blocks, real) for _ in range(2))
-            assert a.dim > _BLOCK_MIN_DIM
-            shape = (nblocks, 8, 8)
-        a, b = built(a), built(b)
+            a, b = (on_blocks(built(random_block_density(rng, blocks, real)),
+                              np.sort(blocks, axis=1)) for _ in range(2))
+            assert a.dim > _BLOCK_MIN_DIM and a.block_form is not None
+            shapes = [(nblocks, 8, 8)] * 6 + [(8 * nblocks,) * 2]
         assert a.real is b.real is (built is real_built)
         assert a.entries.dtype == np.complex128
         trace_norm(a)
@@ -545,9 +614,8 @@ class TestRealSpectralPath:
         numeric_rank(a)
         pinv_sqrt(a)
         fidelity(a, b)
-        assert len(solver_inputs) == 7
         assert all(m.dtype == expected for m in solver_inputs)
-        assert all(m.shape == shape for m in solver_inputs)
+        assert [m.shape for m in solver_inputs] == shapes
 
     def test_one_imaginary_entry_keeps_the_complex_solver(self, solver_inputs):
         # the test is exact zero, not a tolerance: 1e-300j is kept
@@ -630,7 +698,8 @@ SPECTRUM_CASES = {
 
 
 class TestBlockSpectrum:
-    """The block-aware solve against dense numpy solves of the whole matrix."""
+    """The spectral step on dense matrices, block diagonal up to a
+    permutation, against dense numpy solves of the whole matrix."""
 
     @pytest.fixture(params=sorted(SPECTRUM_CASES))
     def planted(self, request):
@@ -638,15 +707,22 @@ class TestBlockSpectrum:
         rng = stream_rng(20 + sorted(SPECTRUM_CASES).index(request.param))
         return [planted_hermitian(rng, blocks, real, zero_rows) for real in (True, False)]
 
-    def test_blocks_are_the_components(self, planted):
-        for m, components in planted:
-            groups = _block_indices(m)
-            if len(m) <= _BLOCK_MIN_DIM or len(components) == 1:
-                assert groups is None
-                continue
-            assert sorted(tuple(row) for idx in groups for row in idx) == components
-            sizes = [idx.shape[1] for idx in groups]  # one stack per block size
-            assert len(set(sizes)) == len(sizes)
+    def test_blocks_are_the_components(self, planted, monkeypatch):
+        # a dense operand's components are not searched for: at every size,
+        # above _BLOCK_MIN_DIM too, it reaches the solver as one (D, D) array,
+        # real when its imaginary part is exactly zero
+        seen = []
+        solver = np.linalg.eigvalsh
+
+        def record(m, *args, **kwargs):
+            seen.append((np.shape(m), np.asarray(m).dtype))
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        for m, _ in planted:
+            seen.clear()
+            _spectrum(m)
+            assert seen == [(m.shape, np.complex128 if m.imag.any() else np.float64)]
 
     def test_eigenvalues_match_dense(self, planted):
         for m, _ in planted:
@@ -700,12 +776,12 @@ def dense_pinv_sqrt(m: Operator, cutoff: float = 1e-10) -> np.ndarray:
 
 
 class TestBlockDifference:
-    """The spectral step on a - b without the D x D difference: the zero
-    pattern is read as a != b and each block gathered as a[idx] - b[idx]."""
+    """The spectral step on a - b of two block operators without the D x D
+    difference: each block of the join gathered as a[idx] - b[idx]."""
 
     def test_complex_pair_with_equal_imaginary_parts_is_solved_real(self, monkeypatch):
         # a - b is real although neither operand is, so the blocks go to the
-        # real solver, as the dense difference would
+        # real solver, as the dense difference does
         seen = []
 
         def record(m, *args, _solver=np.linalg.eigvalsh, **kwargs):
@@ -714,37 +790,41 @@ class TestBlockDifference:
 
         rng = stream_rng(40)
         blocks = rng.permutation(96).reshape(12, 8)
-        a = random_block_density(rng, blocks, real=False)
+        dense_a = random_block_density(rng, blocks, real=False)
         delta = np.zeros((96, 96))
         for idx in blocks[::2]:
             z = rng.standard_normal((8, 8))
             delta[np.ix_(idx, idx)] = 1e-3 * (z + z.T)
-        b = Operator(a.shape, a.entries + delta)
+        dense_b = Operator(dense_a.shape, dense_a.entries + delta)
+        a, b = (on_blocks(m, np.sort(blocks, axis=1)) for m in (dense_a, dense_b))
         assert not (a.real or b.real) and np.array_equal(a.values.imag, b.values.imag)
         assert a.values.imag.any()
         monkeypatch.setattr(np.linalg, "eigvalsh", record)
         td = trace_distance(a, b)
-        # the six changed blocks, and the 48 indices where a - b is zero
-        assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (48, 1, 1)),
-                                                      (np.float64, (6, 8, 8))]
-        assert td == dense_difference_distance(a, b)
-        assert td == pytest.approx(
-            0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(), abs=1e-12)
+        # the twelve blocks of the join, six of them changed
+        assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (12, 8, 8))]
+        seen.clear()
+        dense = trace_distance(dense_a, dense_b)
+        assert [(m.dtype, m.shape) for m in seen] == [(np.float64, (96, 96))]
+        for value in (td, dense):
+            assert value == pytest.approx(
+                0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(), abs=1e-12)
 
     def test_pair_differing_inside_one_block(self):
         rng = stream_rng(41)
         blocks = rng.permutation(96).reshape(12, 8)
         for real in (True, False):
-            a = random_block_density(rng, blocks, real)
-            m = a.entries.copy()
+            dense_a = random_block_density(rng, blocks, real)
+            m = dense_a.entries.copy()
             inside = np.ix_(blocks[3], blocks[3])
             m[inside] = random_rank_density(rng, 8, 8, real).entries / 12
-            b = Operator(a.shape, m)
-            groups = _block_indices(a.values, b.values)
-            assert [idx.shape for idx in groups] == [(88, 1), (1, 8)]
-            np.testing.assert_array_equal(groups[1][0], np.sort(blocks[3]))
+            dense_b = Operator(dense_a.shape, m)
+            a, b = (on_blocks(op if real else complex_copy(op), np.sort(blocks, axis=1))
+                    for op in (dense_a, dense_b))
+            groups, _ = _joined_stacks([a, b])
+            assert [idx.shape for idx in groups] == [(12, 8)]
             td = trace_distance(a, b)
-            assert td == dense_difference_distance(a, b)
+            assert td == pytest.approx(dense_difference_distance(a, b), abs=1e-12)
             diff = a.entries[inside] - b.entries[inside]
             assert td == pytest.approx(
                 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(), abs=1e-12)
@@ -753,7 +833,9 @@ class TestBlockDifference:
         # D = 1024 in 64 blocks of 16: one float64 D x D array is 8 MiB
         rng = stream_rng(42)
         blocks = rng.permutation(1024).reshape(64, 16)
-        a, b = (real_built(random_block_density(rng, blocks, True)) for _ in range(2))
+        a, b = (on_blocks(real_built(random_block_density(rng, blocks, True)),
+                          np.sort(blocks, axis=1)) for _ in range(2))
+        assert a.real and a.block_form is not None
         tracemalloc.start()
         try:
             td = trace_distance(a, b)
@@ -761,7 +843,7 @@ class TestBlockDifference:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024 * 8
-        assert td == dense_difference_distance(a, b)
+        assert td == pytest.approx(dense_difference_distance(a, b), abs=1e-12)
 
 
 class TestBlockPinvSqrt:
@@ -769,8 +851,8 @@ class TestBlockPinvSqrt:
         rng = stream_rng(43)
         blocks = rng.permutation(96).reshape(12, 8)
         for real in (True, False):
-            m = random_block_density(rng, blocks, real)
-            assert _block_indices(m.values) is not None
+            m = on_blocks(random_block_density(rng, blocks, real), np.sort(blocks, axis=1))
+            assert [idx.shape for idx, _, _ in _psd_eigh(m)] == [(12, 8)]
             out = pinv_sqrt(m)
             assert out.real is real
             np.testing.assert_allclose(out.values, dense_pinv_sqrt(m), rtol=0,
@@ -911,7 +993,7 @@ class TestBlockForm:
         b = Operator(self.SHAPE, blocks=random_block_form(rng, [(2, 40)]))
         dense_a, dense_b = (Operator(self.SHAPE, op.values.copy()) for op in (a, b))
         for op, dense in ((a, dense_a), (b, dense_b)):
-            assert trace_norm(op) == trace_norm(dense)
+            assert trace_norm(op) == pytest.approx(trace_norm(dense), abs=1e-13)
             assert numeric_rank(op) == numeric_rank(dense) == 80
         assert trace_distance(a, b) == pytest.approx(
             trace_distance(dense_a, dense_b), abs=1e-13)
@@ -920,8 +1002,7 @@ class TestBlockForm:
 
     def test_exact_cancellation_inside_the_join(self):
         # both operands hold the same off-diagonal entries on 40 blocks of 2,
-        # so a - b is diagonal: its zero pattern splits every block the join
-        # keeps whole
+        # so a - b is diagonal, while the join keeps every block of 2 whole
         rng = stream_rng(54)
         stacks = random_block_form(rng, [(2, 40)])
         (idx, block), = stacks
@@ -929,7 +1010,9 @@ class TestBlockForm:
         shifted[:, [0, 1], [0, 1]] += rng.uniform(-1, 1, (40, 2))
         a = Operator(self.SHAPE, blocks=[(idx, block)])
         b = Operator(self.SHAPE, blocks=[(idx, shifted)])
-        assert _block_indices(a.values, b.values)[0].shape == (80, 1)
+        diff = a.values - b.values
+        assert not (diff - np.diag(np.diag(diff))).any()
+        assert [idx.shape for idx in _joined_stacks([a, b])[0]] == [(40, 2)]
         dense = trace_distance(Operator(self.SHAPE, a.values.copy()),
                                Operator(self.SHAPE, b.values.copy()))
         assert abs(trace_distance(a, b) - dense) <= 1e-15
@@ -938,8 +1021,9 @@ class TestBlockForm:
         # every spectral function on block operators above D = 64 works on
         # the blocks; the Operator would assemble only on a dense read
         rng = stream_rng(55)
-        stacks = random_block_form(rng, [(1, 8), (3, 24)])
-        a = Operator(self.SHAPE, blocks=[(idx, block @ block) for idx, block in stacks])
+        stacks = [(idx, block @ block)
+                  for idx, block in random_block_form(rng, [(1, 8), (3, 24)])]
+        a = Operator(self.SHAPE, blocks=stacks)
         b = Operator(self.SHAPE, blocks=random_block_form(rng, [(2, 40)]))
         assembled = []
         assemble = Operator._assemble
@@ -949,8 +1033,19 @@ class TestBlockForm:
         system = _psd_eigh(a)
         trace_norm(a), trace_distance(a, b), numeric_rank(b)
         root = pinv_sqrt(a)
+        F = fidelity(a, a)
         assert assembled == []
+        # F(a, a) = (Tr a)^2
+        assert F == pytest.approx(a.trace().real ** 2, rel=1e-10)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(a.values), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(root.values, dense_pinv_sqrt(a), rtol=0, atol=1e-12)
+        # oracle: numpy's eigh on each planted block of the dense matrix; one
+        # eigh of the whole 80-square matrix is too coarse for 1e-12 on the
+        # inverse square roots of its smallest eigenvalues
+        oracle = np.zeros((80, 80))
+        for idx, _ in stacks:
+            for row in idx:
+                block_vals, block_vecs = np.linalg.eigh(a.values[np.ix_(row, row)])
+                oracle[np.ix_(row, row)] = (block_vecs / np.sqrt(block_vals)) @ block_vecs.T
+        np.testing.assert_allclose(root.values, oracle, rtol=0, atol=1e-12)
         assert [idx.shape for idx, _, _ in system] == [(8, 1), (24, 3)]
         assert assembled == [80, 80]

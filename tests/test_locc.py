@@ -3,14 +3,21 @@ partially transposed difference-norm chain."""
 
 import itertools
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from chslab import locc
+from chslab import linalg, locc
 from chslab.errors import DimensionOverflow, EnumerationTooLarge, ParameterError
-from chslab.linalg import Operator, RegisterShape, partial_transpose, trace_norm
+from chslab.linalg import (
+    DEFAULT_DIM_CAP,
+    Operator,
+    RegisterShape,
+    partial_transpose,
+    trace_norm,
+)
 from chslab.locc import (
     KneserParams,
     LoccParams,
@@ -27,7 +34,9 @@ from chslab.locc import (
 )
 from chslab.rng import stream_rng
 from chslab.typespace import (
+    DEFAULT_ENUM_CAP,
     TypeVector,
+    _ideal_state,
     _urn_outcomes,
     enumerate_types,
     haar_moment,
@@ -345,13 +354,17 @@ class TestPptChain:
                                      (9, 3), (10, 2)])
     def test_rule_blocks_match_gather_blocks(self, d, t):
         # the gather construction, the oracle: its j = 0 block is exactly
-        # zero, and every j >= 1 block equals the scattered one entry for entry
+        # zero, and every j >= 1 block equals the scattered one entry for
+        # entry, its Kneser copies C(d,s) C(d-s,s) blocks of C(d-2s, t-s)
         gathered = gather_blocks(d, t)
         assert not gathered[0].any()
         built = list(_ppt_blocks(d, t))
         assert len(built) == t
         for j, block in enumerate(built, start=1):
-            np.testing.assert_array_equal(block, gathered[j])
+            s = t - j
+            assert [idx.shape for idx, _ in block.block_form] == [
+                (comb(d, s) * comb(d - s, s), comb(d - 2 * s, t - s))]
+            np.testing.assert_array_equal(block.values, gathered[j])
 
     def test_cap_admitted_size_refused_before_allocation(self):
         # C(12,3)^2 = 48400 passes the enumeration cap, but the j = 1 block
@@ -369,32 +382,34 @@ class TestPptChain:
 
     @pytest.mark.parametrize("d,t", [(5, 2), (6, 2), (7, 3), (8, 2), (10, 2)])
     def test_zero_block_skips_the_solver(self, d, t, monkeypatch):
-        # spied where the whole block enters the spectral primitive, before
-        # it may be split into components and stacked: a stack's len() is a
-        # block count, so a zero block split into 1x1 blocks would hide from
-        # a spy on numpy's solver
+        # spied where the blocks enter the trace norm, as whole operators:
+        # a stack's len() is a block count, so a zero block split into 1x1
+        # blocks would hide from a spy on numpy's solver.  The Kneser
+        # adjacencies of the bound chain pass the same trace norm densely.
         solved = []
-        solver = locc._spectrum
+        norm = locc.trace_norm
 
-        def record(m):
-            solved.append(np.asarray(m))
-            return solver(m)
+        def record(op):
+            solved.append(op)
+            return norm(op)
 
-        monkeypatch.setattr(locc, "_spectrum", record)
+        monkeypatch.setattr(locc, "trace_norm", record)
         ppt_diff_norm(d, t)
-        # no solver call sees an all-zero matrix: the j = 0 block (disjoint
-        # pairs, C(d,t) C(d-t,t) of them) is exactly zero and is never
-        # built, and the j >= 1 blocks come from the scatter rule
-        assert solved and all(m.ndim == 2 and m.any() for m in solved)
-        assert comb(d, t) * comb(d - t, t) not in [len(m) for m in solved]
+        # no solved block is all zero: the j = 0 block (disjoint pairs,
+        # C(d,t) C(d-t,t) of them) is exactly zero and is never built, and
+        # every Kneser copy of the j >= 1 blocks comes from the scatter rule
+        built = [op for op in solved if op.block_form is not None]
+        assert len(built) == t
+        assert all(block.any(axis=(1, 2)).all() for op in built for _, block in op.block_form)
+        assert comb(d, t) * comb(d - t, t) not in [op.dim for op in built]
 
     @pytest.mark.parametrize("d,t", [(4, 1), (5, 2), (6, 2)])
     def test_mask_surrogates_match_subset_mixtures(self, d, t):
-        shape = RegisterShape((d,) * (2 * t))
-        rho = Operator(shape, haar_moment(d, 2 * t).entries)
-        half = haar_moment(d, t).entries
-        sigma = Operator(shape, np.kron(half, half))
+        rho = haar_moment(d, 2 * t)
+        sigma = _ideal_state(d, [range(t), range(t, 2 * t)], DEFAULT_DIM_CAP,
+                             DEFAULT_ENUM_CAP)
         rho_tilde, sigma_tilde = _subset_surrogates(d, t, rho, sigma)
+        assert rho_tilde.block_form is not None and sigma_tilde.block_form is not None
         rho_oracle, sigma_oracle = full_space_surrogates(d, t)
         np.testing.assert_allclose(rho_tilde.entries, rho_oracle, rtol=0, atol=1e-15)
         np.testing.assert_allclose(sigma_tilde.entries, sigma_oracle, rtol=0,
@@ -446,18 +461,55 @@ class TestSandwich:
         # the true half-norm and both slacks at (6, 2) are taken on
         # 1296-square matrices that are block diagonal by type; the solver
         # only ever sees their blocks
-        dims = []
+        d, t = 6, 2
+        dims, transposed, joined = [], [], []
         solver = np.linalg.eigvalsh
+        transpose, stacks = locc.partial_transpose, linalg._joined_stacks
 
         def record(m, *args, **kwargs):
             dims.append(np.shape(m)[-1])
             return solver(m, *args, **kwargs)
 
+        def record_transpose(op, over):
+            transposed.append(transpose(op, over))
+            return transposed[-1]
+
+        def record_join(operands):
+            groups, stacked = stacks(operands)
+            joined.append((operands, groups))
+            return groups, stacked
+
         monkeypatch.setattr(np.linalg, "eigvalsh", record)
-        res = ppt_vs_haar_bound(6, 2)
-        assert dims and max(dims) < 6 ** 4
+        monkeypatch.setattr(locc, "partial_transpose", record_transpose)
+        monkeypatch.setattr(linalg, "_joined_stacks", record_join)
+        res = ppt_vs_haar_bound(d, t)
+        assert dims and max(dims) < d ** (2 * t)
         # the true-moment PPT half-norm at (6, 2) is exactly 75/196
         assert res.half_norm_true == pytest.approx(75 / 196, abs=1e-12)
+        # every block the transposed pair is solved on lies in one signed
+        # type class: type(x) - type(y) is constant on it, x the first t
+        # digits of an index and y the last t
+        digits = np.indices((d,) * (2 * t)).reshape(2 * t, -1).T
+        signed = np.zeros((d ** (2 * t), d), dtype=int)
+        for k in range(2 * t):
+            np.add.at(signed, (np.arange(len(digits)), digits[:, k]), 1 if k < t else -1)
+        groups = [groups for operands, groups in joined
+                  if [id(op) for op in operands] == [id(op) for op in transposed]]
+        assert len(transposed) == 2 and len(groups) == 1
+        for idx in groups[0]:
+            assert (signed[idx] == signed[idx[:, :1]]).all()
+
+    def test_true_moments_build_no_dense_matrix(self):
+        # one 1296-square float64 array is 13.4 MB; the moments, their
+        # partial transposes and their surrogates stay in blocks below it
+        ppt_vs_haar_bound(6, 2)
+        tracemalloc.start()
+        try:
+            ppt_vs_haar_bound(6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 ** 4 * 6 ** 4 * 8
 
     def test_no_copies(self):
         res = ppt_vs_haar_bound(8, 0)

@@ -20,7 +20,7 @@ from chslab.errors import (
 from chslab import commitment as cm
 from chslab import pseudo
 from chslab.linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, \
-    StateVector, _dense_eigh, _psd_eigh, _spectrum, permute_registers, pinv_sqrt, \
+    StateVector, _dense_eigh, _psd_eigh, permute_registers, pinv_sqrt, \
     trace_distance
 from chslab.pseudo import (
     PrfsInput,
@@ -829,8 +829,8 @@ class TestBlockSpectralStep:
         res = prs_hybrids(PseudoParams(lam, n, ell, t))
         keyed, ideal = res.keyed, res.ideal
         assert keyed.dim == 1024 and keyed.real and ideal.real
-        oracle = 0.5 * float(np.abs(_spectrum(keyed.values - ideal.values)).sum())
-        assert res.td == trace_distance(keyed, ideal) == oracle
+        assert keyed.block_form is not None and ideal.block_form is not None
+        assert res.td == trace_distance(keyed, ideal)
         assert res.td == pytest.approx(
             0.5 * np.abs(np.linalg.eigvalsh(keyed.values - ideal.values)).sum(), abs=1e-12)
 
@@ -845,10 +845,11 @@ class TestBlockSpectralStep:
         assert peak < 1024 * 1024 * 8
 
     def test_pinv_sqrt_matches_the_dense_product(self):
-        # the mixture of onewayness_quantity(3, 2), D = 512, solved in blocks
+        # the mixture of onewayness_quantity(3, 2), D = 512, solved in
+        # blocks, against one dense eigensystem of the whole matrix
         d = 8
         sigma = _keyed_state(d, 3, 0, [(0,)], DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
-        m = Operator(sigma.shape, d * sigma.values)
+        m = Operator(sigma.shape, blocks=[(idx, d * block) for idx, block in sigma.block_form])
         vals, vecs = _dense_eigh(_psd_eigh(m.values))
         inv = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
         np.testing.assert_allclose(pinv_sqrt(m).values, (vecs * inv) @ vecs.T, rtol=0,
