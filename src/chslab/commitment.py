@@ -23,6 +23,7 @@ import numpy as np
 from . import exact
 from .errors import NotUnitary, ParameterError, ShapeMismatch
 from .linalg import (
+    _BLOCK_MIN_DIM,
     DEFAULT_DIM_CAP,
     Operator,
     RegisterShape,
@@ -164,8 +165,15 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     block = np.empty(re.shape + re.shape[1:], dtype=np.complex128)
     block.real = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
     block.imag = im[:, :, None] * re[:, None, :] - re[:, :, None] * im[:, None, :]
-    rho0 = Operator(shape, blocks=[(np.arange(d).reshape(re.shape), block)])
-    mixed = Operator(shape, blocks=[(np.arange(d)[:, None], np.full((d, 1, 1), 1.0 / d))])
+    if d > _BLOCK_MIN_DIM:
+        rho0 = Operator(shape, blocks=[(np.arange(d).reshape(re.shape), block)])
+        mixed = Operator(shape, blocks=[(np.arange(d)[:, None], np.full((d, 1, 1), 1.0 / d))])
+    else:  # solved whole: the same matrices, built dense
+        labels = np.arange(len(block))
+        dense = np.zeros(block.shape[:2] * 2, dtype=np.complex128)
+        dense[labels, :, labels] = block
+        rho0 = Operator(shape, dense.reshape(d, d))
+        mixed = Operator(shape, np.eye(d) / d)
     F = fidelity(rho0, mixed)
     return F, float(exact.fidelity_bound(lam, n))
 

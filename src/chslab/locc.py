@@ -9,13 +9,14 @@ Dirichlet(1,...,1), so measuring k copies is a Polya urn (draw j takes k
 uniform in [0, d+j) and repeats earlier draw k when k < j, else it is the
 fresh outcome k - j), drawn in fixed seeded blocks, all in the calling
 process.  The draws come from ``typespace._urn_draws``, one exact
-bounded-integer call per draw, the primitive the good-type sampler shares.
-The tester reads the raw draws: a trial is collision-free exactly when
-every draw is fresh and the fresh outcomes are distinct, so it never
-resolves repeats into outcomes and never sorts.  Each draw is one
-contiguous vector over the block's trials, and the test is a pairwise
-``!=`` scan of those vectors; the shared draws are tested once for both
-branches.  The upper bound goes
+bounded-integer call per draw in the narrowest integer type that holds
+them, the primitive the good-type sampler shares.  The tester reads the
+raw draws: a trial is collision-free exactly when every draw is fresh
+(``>= 0`` once its index is subtracted) and the fresh outcomes are
+distinct, by the pairwise ``!=`` scan ``typespace._distinct`` that the
+fold predicate runs too, so it never resolves repeats into outcomes and
+never sorts; the shared draws are tested once for both branches.
+The upper bound goes
 through measurements that stay positive under partial transposition: the
 trace norm of the partially transposed difference Gamma(rho) - Gamma(sigma)
 is computed exactly in the basis of t-subset pairs (a, b), where it is block
@@ -56,7 +57,8 @@ from .linalg import (
     trace_norm,
 )
 from .rng import stream_rng
-from .typespace import DEFAULT_ENUM_CAP, _fold_good, _ideal_state, _urn_draws, haar_moment
+from .typespace import (DEFAULT_ENUM_CAP, _distinct, _fold_good, _ideal_state, _urn_draws,
+                        haar_moment)
 
 _MC_BLOCK = 8192  # trials per Monte Carlo block, one RNG sub-stream each
 
@@ -164,21 +166,6 @@ def locc_advantage_closed_form(d: int, t: int) -> float:
     return float(exact.collision_advantage(d, t))
 
 
-def _fresh_and_distinct(fresh: list[np.ndarray], ok: np.ndarray,
-                        first: int = 0) -> np.ndarray:
-    """AND into ``ok``, per entry of the draw vectors ``fresh`` (vector j
-    holds each trial's urn draw j minus j, so a repeat of an earlier draw
-    is negative and a fresh outcome is itself): every vector from
-    ``first`` on is fresh and differs from every vector before it.  Each
-    test is one ``!=`` scan of two contiguous vectors; ``ok`` is returned.
-    """
-    for j in range(first, len(fresh)):
-        ok &= fresh[j] >= 0
-        for i in range(j):
-            ok &= fresh[i] != fresh[j]
-    return ok
-
-
 def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
               t: int) -> tuple[int, int]:
     """No-collision hit counts for one deterministic trial block.
@@ -186,9 +173,10 @@ def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
     The trials are paired: the shared-state branch measures 2t copies of
     one state (urn A), and the independent branch combines the first t of
     those outcomes with t outcomes of a second state (urn B).  Both read
-    the raw draws, one contiguous vector per draw with its index
-    subtracted in place: a trial is collision-free exactly when every draw
-    is fresh and the fresh outcomes are distinct, so no outcome is
+    the raw draws, one contiguous vector per draw in the urn's narrow
+    integer type, with its index subtracted in place: a trial is
+    collision-free exactly when every draw is fresh (``>= 0``) and the
+    fresh outcomes are distinct (``typespace._distinct``), so no outcome is
     resolved.  A's first t draws are tested once, and that mask is
     extended by A's draws t..2t-1 for the shared branch and by B's draws
     for the independent one.
@@ -196,13 +184,14 @@ def _mc_block(seed: int, stream: int, block: int, rows: int, d: int,
     rng = stream_rng(seed, (stream, block))
     draws_a = _urn_draws(rows, d, 2 * t, rng)
     draws_b = _urn_draws(rows, d, t, rng)
-    draws_a -= np.arange(2 * t)[:, None]
-    draws_b -= np.arange(t)[:, None]
-    fresh_a, fresh_b = list(draws_a), list(draws_b)
-    first = _fresh_and_distinct(fresh_a[:t], np.ones(rows, dtype=bool))
-    hits_identical = _fresh_and_distinct(fresh_a, first.copy(), t)
-    hits_independent = _fresh_and_distinct(fresh_a[:t] + fresh_b, first, t)
-    return int(hits_identical.sum()), int(hits_independent.sum())
+    draws_a -= np.arange(2 * t, dtype=draws_a.dtype)[:, None]
+    draws_b -= np.arange(t, dtype=draws_b.dtype)[:, None]
+    fresh_a, fresh_b = draws_a >= 0, draws_b >= 0
+    first = _distinct(draws_a[:t], fresh_a[:t].all(axis=0))
+    hits_identical = _distinct(draws_a, first & fresh_a[t:].all(axis=0), t)
+    hits_independent = _distinct(list(draws_a[:t]) + list(draws_b),
+                                 first & fresh_b.all(axis=0), t)
+    return int(np.count_nonzero(hits_identical)), int(np.count_nonzero(hits_independent))
 
 
 def locc_advantage_mc(lp: LoccParams, stream: int = 0,

@@ -25,9 +25,11 @@ vector per ell-subset prefix XOR, and one sampler of uniform types,
 the Polya urn: t draws from a Dirichlet(1,...,1) outcome law land on each
 multiset with probability t! / (d (d+1) ... (d+t-1)) = 1 / C(d+t-1, t).
 The urn has one draw primitive, :func:`_urn_draws`, one exact
-bounded-integer call per draw; :func:`_urn_outcomes` resolves its repeats
-into outcomes.  The collision tester in :mod:`chslab.locc` reads the raw
-draws of the same primitive and never resolves them.
+bounded-integer call per draw, stored in the narrowest signed integer
+type that holds them.  Its draws are never resolved into outcomes: the
+good-type sampler and the collision tester in :mod:`chslab.locc` both
+read a row as fresh (every draw k_j >= j) with distinct outcomes k_j - j,
+and both test distinctness with one pairwise scan, :func:`_distinct`.
 """
 
 from __future__ import annotations
@@ -332,7 +334,11 @@ def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarra
     re, im = parts[:, 0::2], parts[:, 1::2]
     square = np.multiply(re, re, out=part)
     square += im * im
-    parts *= (1.0 / np.sqrt(square.sum(axis=1)))[:, None]
+    # numpy's row reduction adds a row shorter than its 8-way unrolled
+    # pairwise block left to right onto 0.0, so below d = 8 the columns
+    # added in that order give its bits without the strided reduction
+    norm = sum(square.T[1:], square[:, 0]) if d < 8 else square.sum(axis=1)
+    parts *= (1.0 / np.sqrt(norm))[:, None]
     return z
 
 
@@ -346,31 +352,23 @@ def _urn_draws(rows: int, d: int, draws: int,
                rng: np.random.Generator) -> np.ndarray:
     """The raw Polya-urn draws of ``rows`` fresh Haar states, ``draws`` copies
     each, as a (draws, rows) array: row j holds k uniform in [0, d + j),
-    drawn by one exact bounded-integer call per draw."""
-    ks = np.empty((draws, rows), dtype=np.int64)
+    drawn by one exact bounded-integer call per draw and stored in the
+    narrowest signed type that holds [-draws, d + draws), so row j minus j
+    stays in it: int8 while d + draws <= 128."""
+    ks = np.empty((draws, rows), dtype=np.min_scalar_type(-(d + draws)))
     for j in range(draws):
         ks[j] = rng.integers(0, d + j, size=rows)
     return ks
 
 
-def _urn_outcomes(rows: int, d: int, draws: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Computational-basis outcomes of ``draws`` copies of fresh Haar states.
-
-    One row per state.  A Haar state's basis probabilities are
-    Dirichlet(1,...,1), so its measured copies follow a Polya urn: draw j
-    takes k uniform in [0, d + j) (:func:`_urn_draws`) and repeats earlier
-    draw k when k < j, else it is the fresh outcome k - j.  A row with
-    counts c has probability prod c_i! / (d (d+1) ... (d+draws-1)) and
-    draws! / prod c_i! orderings, so its multiset is a uniform type:
-    probability 1 / C(d+draws-1, draws).
-    """
-    ks = _urn_draws(rows, d, draws, rng)
-    out = ks - np.arange(draws)[:, None]
-    for j in range(1, draws):
-        rep = np.flatnonzero(ks[j] < j)
-        out[j, rep] = out[ks[j, rep], rep]
-    return out.T
+def _distinct(vectors, ok: np.ndarray, first: int = 0) -> np.ndarray:
+    """AND into ``ok``, entry by entry, that every vector from ``first`` on
+    differs from every vector before it, by one ``!=`` scan of two
+    contiguous vectors per pair; ``ok`` is returned."""
+    for j in range(first, len(vectors)):
+        for i in range(j):
+            ok &= vectors[i] != vectors[j]
+    return ok
 
 
 def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:
@@ -381,9 +379,9 @@ def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:
     so any repeated element rules the type out whenever ell < t; this is the
     reading under which the fold condition implies plain collision-freeness.
     The answer does not depend on the order of a row.  The prefixes are
-    transposed into one contiguous vector per position, each fold is the
-    XOR of its ell position vectors, and the verdict is the AND of the
-    pairwise ``!=`` scans over the folds.
+    transposed into one contiguous vector per position, in the rows' own
+    integer type, each fold is the XOR of its ell position vectors, and the
+    verdict is the pairwise ``!=`` scan :func:`_distinct` over the folds.
     """
     prefixes = np.right_shift(rows.T, m, order="C")
     folds = []
@@ -392,11 +390,7 @@ def _fold_good(rows: np.ndarray, m: int, ell: int) -> np.ndarray:
         for i in combo[1:]:
             fold ^= prefixes[i]
         folds.append(fold)
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for j in range(1, len(folds)):
-        for i in range(j):
-            ok &= folds[i] != folds[j]
-    return ok
+    return _distinct(folds, np.ones(rows.shape[0], dtype=bool))
 
 
 def is_l_fold_prefix_collision_free(T: TypeVector, p: PrefixParams,
@@ -452,19 +446,25 @@ def prob_good_type(p: PrefixParams, trials: int = 0, seed: int = 0, stream: int 
     all C(2^(n+m)+t-1, t) of them; that count is checked against
     ``enum_cap`` first and raises EnumerationTooLarge past it.  When
     ``trials`` > 0 a Monte Carlo estimate over uniform types drawn by the
-    Polya urn (:func:`_urn_outcomes`) is attached, with its binomial
-    standard error; it feeds the predicate ``_CHUNK`` rows at a time.
+    Polya urn (:func:`_urn_draws`, ``_CHUNK`` trials at a time) is
+    attached, with its binomial standard error.  When ell < t a repeated
+    element fails the predicate, so a trial hits iff every draw is fresh
+    (k_j >= j) and the outcomes k_j - j pass :func:`_fold_good`; when
+    ell = t every trial hits and nothing is drawn.
     """
     d, t = p.alphabet_dim, p.t
     count, _ = _type_rows(d, t, enum_cap)
     exact = Fraction(_good_count(p, count), count)
     if trials <= 0:
         return GoodTypeProbability(exact, None, None, 0)
-    rng = stream_rng(seed, stream)
-    hits = 0
-    for first in range(0, trials, _CHUNK):
-        rows = _urn_outcomes(min(_CHUNK, trials - first), d, t, rng)
-        hits += int(_fold_good(rows, p.m, p.ell).sum())
+    hits = trials if p.ell == t else 0
+    if p.ell < t:
+        rng = stream_rng(seed, stream)
+        for first in range(0, trials, _CHUNK):
+            ks = _urn_draws(min(_CHUNK, trials - first), d, t, rng)
+            ks -= np.arange(t, dtype=ks.dtype)[:, None]
+            fresh = (ks >= 0).all(axis=0)
+            hits += int(np.count_nonzero(fresh & _fold_good(ks.T, p.m, p.ell)))
     est = hits / trials
     stderr = float(np.sqrt(est * (1.0 - est) / trials))
     return GoodTypeProbability(exact, est, stderr, trials)

@@ -9,6 +9,9 @@ Spectra: only linalg calls numpy's ``eigh`` or ``eigvalsh``, so every
 eigensolve goes through its one rule (block operators on their blocks,
 anything else whole).
 
+Sampling: only typespace calls a random generator's draw methods, so
+every sampled stage (Haar states, Polya-urn draws) has one sampler module.
+
 Closed forms: ``exact`` imports only the standard library's exact
 arithmetic, so a closed form shares no code with the numeric construction
 it is checked against, and it is the one module besides typespace that
@@ -55,6 +58,20 @@ def test_only_linalg_calls_the_eigensolver():
                if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"))
                or (isinstance(node, ast.Name) and node.id in ("eigh", "eigvalsh"))
                or (isinstance(node, ast.alias) and node.name in ("eigh", "eigvalsh"))]
+    assert callers == []
+
+
+def test_only_typespace_draws_from_a_generator():
+    # the Generator's integer, normal, uniform and permutation draws; not
+    # ``random``, which also names numpy's random module
+    draws = {"integers", "standard_normal", "normal", "uniform", "choice",
+             "permutation", "permuted", "shuffle"}
+    paths = sorted(Path(chslab.__file__).parent.glob("*.py"))
+    assert "typespace.py" in {p.name for p in paths}
+    callers = [f"{path.name}:{node.lineno}"
+               for path in paths if path.name != "typespace.py"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Attribute) and node.attr in draws]
     assert callers == []
 
 

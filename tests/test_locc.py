@@ -37,11 +37,11 @@ from chslab.typespace import (
     DEFAULT_ENUM_CAP,
     TypeVector,
     _ideal_state,
-    _urn_outcomes,
     enumerate_types,
     haar_moment,
     type_state,
 )
+from urn import urn_outcomes
 
 
 def all_distinct(outcomes):
@@ -177,8 +177,8 @@ class TestMonteCarlo:
         # and sort-test every row; the block must count the same trials
         seed, stream, block, rows = 31, 2, 5, 8192
         rng = stream_rng(seed, (stream, block))
-        shared = _urn_outcomes(rows, d, 2 * t, rng)
-        both = np.concatenate([shared[:, :t], _urn_outcomes(rows, d, t, rng)], axis=1)
+        shared = urn_outcomes(rows, d, 2 * t, rng)
+        both = np.concatenate([shared[:, :t], urn_outcomes(rows, d, t, rng)], axis=1)
         want = (int(all_distinct(shared).sum()), int(all_distinct(both).sum()))
         assert 0 < want[0] and want[1] < rows  # both verdicts occur
         assert _mc_block(seed, stream, block, rows, d, t) == want
@@ -192,7 +192,7 @@ class TestMonteCarlo:
         expected = np.array([(sizes == s).sum() / len(types)
                              for s in range(1, 2 * t + 1)])
 
-        outcomes = _urn_outcomes(trials, d, 2 * t, stream_rng(23))
+        outcomes = urn_outcomes(trials, d, 2 * t, stream_rng(23))
         support = np.array([len(set(row)) for row in outcomes])
         counts = np.array([(support == s).sum() for s in range(1, 2 * t + 1)])
         chi2 = float((((counts - trials * expected) ** 2)
@@ -202,7 +202,7 @@ class TestMonteCarlo:
     def test_shared_branch_type_uniform(self):
         # all C(4+4-1, 4) = 35 types of 2t = 4 draws at d = 4 equally likely
         d, draws, trials = 4, 4, 100000
-        outcomes = np.sort(_urn_outcomes(trials, d, draws, stream_rng(24)), axis=1)
+        outcomes = np.sort(urn_outcomes(trials, d, draws, stream_rng(24)), axis=1)
         observed = {tuple(row): n for row, n in
                     zip(*np.unique(outcomes, axis=0, return_counts=True))}
         types = [tuple(T.elements()) for T in enumerate_types(d, draws)]
@@ -217,8 +217,8 @@ class TestMonteCarlo:
         # uniform over the 6 x 6 pairs: A's prefix and urn B are independent
         d, t, trials = 3, 2, 100000
         rng = stream_rng(25)
-        first = np.sort(_urn_outcomes(trials, d, 2 * t, rng)[:, :t], axis=1)
-        other = np.sort(_urn_outcomes(trials, d, t, rng), axis=1)
+        first = np.sort(urn_outcomes(trials, d, 2 * t, rng)[:, :t], axis=1)
+        other = np.sort(urn_outcomes(trials, d, t, rng), axis=1)
         types = [tuple(T.elements()) for T in enumerate_types(d, t)]
         assert len(types) == 6
         index = {T: i for i, T in enumerate(types)}

@@ -29,12 +29,13 @@ from chslab.typespace import (
     sym_projector,
     type_bipartition,
     type_state,
+    _distinct,
     _flat_index,
     _fold_good,
     _type_classes,
     _urn_draws,
-    _urn_outcomes,
 )
+from urn import urn_outcomes
 
 
 def fold_good_oracle(elements, m, ell):
@@ -74,6 +75,22 @@ def dense_class_matrix(d, t):
     label = digits @ powers
     class_size = np.bincount(label, minlength=dim)[label]
     return np.equal.outer(label, label) / class_size[:, None]
+
+
+def haar_block_by_row_sum(d, count, rng):
+    """The normalisation the column sums replaced below d = 8: the same
+    draws and squares, each row's squared norm taken by numpy's row
+    reduction ``sum(axis=1)``."""
+    z = np.empty((count, d), dtype=np.complex128)
+    part = rng.standard_normal((count, d))
+    z.real = part
+    z.imag = rng.standard_normal(out=part)
+    parts = z.view(np.float64)
+    re, im = parts[:, 0::2], parts[:, 1::2]
+    square = re * re
+    square += im * im
+    parts *= (1.0 / np.sqrt(square.sum(axis=1)))[:, None]
+    return z
 
 
 def good_count_by_type_walk(p):
@@ -251,6 +268,19 @@ class TestSampleHaar:
         assert hashlib.sha256(block.tobytes()).hexdigest() == (
             "07f45122497d9e6ad771b708f3f97b9e9907e7577ac43c2f3d4078168e8a78ac")
 
+    def test_two_dim_block_pinned(self):
+        # the width of haar-moment-mc, pinned as the row reduction gave it
+        block = haar_states_block(2, 20000, np.random.Generator(np.random.Philox(7)))
+        assert hashlib.sha256(block.tobytes()).hexdigest() == (
+            "b09a13d9c347c24aeba66e3d1b013db3b9db85218fe5dc3e4b9dc12a9df8aa5c")
+
+    @pytest.mark.parametrize("count", [1, 3, 20000])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_column_sums_match_the_row_reduction(self, d, count):
+        got = haar_states_block(d, count, stream_rng(15, d))
+        want = haar_block_by_row_sum(d, count, stream_rng(15, d))
+        assert got.tobytes() == want.tobytes()
+
     def test_mean_overlap(self):
         block = haar_states_block(4, 100000, stream_rng(14))
         est = float(np.mean(np.abs(block[:, 0]) ** 2))
@@ -318,6 +348,18 @@ class TestFoldPredicate:
         assert 0 < got.sum() < len(got)  # both verdicts occur
         np.testing.assert_array_equal(got, fold_good_sorted(rows, m, ell))
 
+    def test_distinct_scan_matches_the_pairwise_oracle(self):
+        # vectors from `first` on must differ from every earlier vector;
+        # pairs among the first `first` vectors are not tested
+        vectors = stream_rng(44).integers(0, 6, size=(5, 4096), dtype=np.int8)
+        for first in range(6):
+            ok = np.ones(4096, dtype=bool)
+            got = _distinct(list(vectors), ok, first)
+            assert got is ok
+            want = [all(col[i] != col[j] for j in range(first, 5) for i in range(j))
+                    for col in vectors.T]
+            assert got.tolist() == want
+
     def test_row_order_is_irrelevant(self):
         rows = np.array([[0, 1, 2, 5], [3, 3, 6, 1], [7, 4, 2, 0]], dtype=np.int64)
         assert (_fold_good(rows, 1, 2) == _fold_good(rows[:, ::-1], 1, 2)).all()
@@ -331,11 +373,28 @@ class TestUrnDraws:
         for j in range(draws):
             assert ks[j].min() == 0 and ks[j].max() == d + j - 1
 
+    @pytest.mark.parametrize("d,draws,lane", [
+        (120, 8, np.int8), (121, 8, np.int16), (32760, 8, np.int16), (32761, 8, np.int32),
+        (2, 126, np.int8), (2, 127, np.int16)])
+    def test_narrowest_lane_holds_every_draw(self, d, draws, lane):
+        # d + draws = 128, 129, 32768 and 32769 at the lane edges; the
+        # values are the int64 bounded-integer draws, and k - j never wraps
+        rows = 4096
+        ks = _urn_draws(rows, d, draws, stream_rng(28))
+        assert ks.dtype == lane
+        rng = stream_rng(28)
+        wide = np.array([rng.integers(0, d + j, size=rows) for j in range(draws)])
+        assert wide.dtype == np.int64
+        np.testing.assert_array_equal(ks, wide)
+        fresh = ks - np.arange(draws, dtype=ks.dtype)[:, None]
+        assert fresh.dtype == lane
+        np.testing.assert_array_equal(fresh, wide - np.arange(draws)[:, None])
+
     def test_outcomes_resolve_the_draws(self):
         # oracle: resolve each state's draws one at a time in Python
         d, draws, rows = 3, 5, 500
         ks = _urn_draws(rows, d, draws, stream_rng(27))
-        out = _urn_outcomes(rows, d, draws, stream_rng(27))
+        out = urn_outcomes(rows, d, draws, stream_rng(27))
         assert out.shape == (rows, draws)
         for row, col in zip(out, ks.T):
             resolved = []
@@ -371,9 +430,26 @@ class TestProbGoodType:
         hits = 0
         for rows in (65536, trials - 65536):
             hits += sum(fold_good_oracle(tuple(row), p.m, p.ell)
-                        for row in _urn_outcomes(rows, p.alphabet_dim, p.t, rng))
+                        for row in urn_outcomes(rows, p.alphabet_dim, p.t, rng))
         res = prob_good_type(p, trials=trials, seed=seed, stream=stream)
         assert res.trials == trials
+        assert res.mc_estimate == hits / trials
+
+    @pytest.mark.parametrize("trials", [65536, 65537])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n,m,ell,t", [(4, 1, 2, 4), (2, 0, 1, 2), (2, 1, 2, 2),
+                                           (3, 0, 1, 3), (2, 1, 1, 3)])
+    def test_raw_draws_match_the_resolved_outcomes(self, n, m, ell, t, seed, trials):
+        # oracle: resolve every chunk's draws into outcomes and run all of
+        # them through the fold predicate; 65537 trials cross the chunk edge
+        p = PrefixParams(n, m, ell, t)
+        rng = stream_rng(seed)
+        hits = 0
+        for first in range(0, trials, 65536):
+            rows = urn_outcomes(min(65536, trials - first), p.alphabet_dim, t, rng)
+            hits += int(_fold_good(rows, m, ell).sum())
+        res = prob_good_type(p, trials=trials, seed=seed)
+        assert 0 < hits and (hits < trials) == (ell < t)
         assert res.mc_estimate == hits / trials
 
     def test_enumeration_cap(self):
