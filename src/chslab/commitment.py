@@ -23,11 +23,11 @@ import numpy as np
 from . import exact
 from .errors import NotUnitary, ParameterError, ShapeMismatch
 from .linalg import (
-    _BLOCK_MIN_DIM,
     DEFAULT_DIM_CAP,
     Operator,
     RegisterShape,
     StateVector,
+    _dense_or_blocks,
     fidelity,
 )
 from .pseudo import _hybrid, _phases
@@ -165,15 +165,8 @@ def fidelity_bound_check(lam: int, n: int, common: StateVector,
     block = np.empty(re.shape + re.shape[1:], dtype=np.complex128)
     block.real = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
     block.imag = im[:, :, None] * re[:, None, :] - re[:, :, None] * im[:, None, :]
-    if d > _BLOCK_MIN_DIM:
-        rho0 = Operator(shape, blocks=[(np.arange(d).reshape(re.shape), block)])
-        mixed = Operator(shape, blocks=[(np.arange(d)[:, None], np.full((d, 1, 1), 1.0 / d))])
-    else:  # solved whole: the same matrices, built dense
-        labels = np.arange(len(block))
-        dense = np.zeros(block.shape[:2] * 2, dtype=np.complex128)
-        dense[labels, :, labels] = block
-        rho0 = Operator(shape, dense.reshape(d, d))
-        mixed = Operator(shape, np.eye(d) / d)
+    rho0 = _dense_or_blocks(shape, [(np.arange(d).reshape(re.shape), block)])
+    mixed = _dense_or_blocks(shape, [(np.arange(d)[:, None], np.full((d, 1, 1), 1.0 / d))])
     F = fidelity(rho0, mixed)
     return F, float(exact.fidelity_bound(lam, n))
 

@@ -47,6 +47,13 @@ Sources, one per function:
   written as 2^lam/C(ell+t, ell) prod_{i<ell} (1 + t/(d+i)), d = 2^n.
 - ``bipartition_pairs(t, x)``: a collision-free type of t elements splits
   across a cut after x registers into one pair per x-subset.
+- ``one_copy_distance(lam, n)``: one keyed copy next to one shared copy,
+  averaged over the key, is rho = (I + SWAP sum_k Pi_k (x) Pi_k)/(d(d+1))
+  for the 2^lam label projectors Pi_k, each of rank m = 2^(n-lam), d = 2^n.
+  Against I/d^2 its one positive eigenvalue, (d-1)/(d^2 (d+1)), lies on
+  the d(m+1)/2 symmetric dimensions of the label blocks, and a traceless
+  difference's trace distance is its positive part:
+  (m+1)(d-1)/(2d(d+1)).  It tends to 2^-(lam+1) as n grows.
 - ``onewayness_bound(n, m)``: the phased-moment overlap bound (m+1)/d,
   d = 2^n.
 - ``fidelity_bound(lam, n)``: the key-averaged commit register has rank at
@@ -85,6 +92,7 @@ __all__ = [
     "ideal_rank",
     "kneser_degree",
     "kneser_one_norm",
+    "one_copy_distance",
     "onewayness_bound",
     "ppt_factorial_bound",
     "ppt_middle",
@@ -191,6 +199,14 @@ def bipartition_pairs(t: int, x: int) -> int:
     """Pairs in the expansion of a t-element type across a cut after x."""
     _require(0 <= x <= t, f"need 0 <= x <= t, got t={t}, x={x}")
     return comb(t, x)
+
+
+def one_copy_distance(lam: int, n: int) -> Fraction:
+    """(m+1)(d-1)/(2d(d+1)) with d = 2^n and m = 2^(n-lam): the exact hybrid
+    distance of one lam-bit keyed copy next to one shared copy."""
+    _require(0 <= lam <= n, f"need 0 <= lam <= n, got lam={lam}, n={n}")
+    d, m = 2**n, 2 ** (n - lam)
+    return Fraction((m + 1) * (d - 1), 2 * d * (d + 1))
 
 
 def onewayness_bound(n: int, m: int) -> Fraction:

@@ -5,11 +5,12 @@ States are stored as complex128.  An operator is given either densely or
 in block form: a list of ``(idx, block)`` stacks, ``idx`` an ``(nb, s)``
 array of ascending index rows and ``block`` the ``(nb, s, s)`` entries on
 them, every other entry zero; the rows of all stacks partition
-``[0, D)``.  The exact path's operators are block diagonal by type class
-and their builders know the blocks: a Haar moment is one constant block
-per class, the keyed state one block per class and label group, and a
-product of moments one block per tuple of class blocks, so they are built
-in block form and nothing looks for their structure again.
+``[0, D)``.  The exact path's operators are constant on blocks named by
+per-index labels: a Haar moment's type classes, the keyed state's class
+and charge labels, a moment product's tuples of class blocks.  One
+constructor builds them from the labels (``_label_blocks``), so nothing
+looks for their structure again, and ``_dense_or_blocks`` alone chooses
+whether an operator goes on dense or in blocks, at ``_BLOCK_MIN_DIM``.
 
 An operator built from real arrays (a bool, integer or float dtype) is
 marked ``real`` and stores float64; any other stores complex128.  Code
@@ -21,14 +22,13 @@ only when ``entries`` is first read, and the copy replaces its float64
 array, so no library path makes it.  A block operator assembles its dense
 matrix only on the first read of ``values`` or ``entries`` and keeps it
 under the same rule; its trace, its Hermitian defect, its partial
-transpose, its register permutation and, above D = 64, its spectral step
-read the blocks, so no library path assembles it there.  Haar moments,
-label masks, ideal products and PPT blocks are real in the computational
-basis, and partial trace, partial transpose and register permutation keep
-the mark.  Partial trace reshapes ``values`` and returns a dense operator;
-partial transpose and permutation return a dense operator for a dense
-one, and a block operator for a block one: the permutation relabels its
-blocks, and the partial transpose moves each entry and joins the moved
+transpose and, above D = 64, its spectral step read the blocks, so no
+library path assembles it there.  Haar moments, keyed states, ideal
+products and PPT blocks are real in the computational basis, and partial
+trace, partial transpose and register permutation keep the mark.  Partial
+trace and register permutation reshape ``values`` and return a dense
+operator; partial transpose returns a dense operator for a dense one and
+a block operator for a block one, moving each entry and joining the moved
 entries' rows and columns into its new blocks.
 
 Every operator is Hermitian, checked exactly when it is built, and a NaN
@@ -258,12 +258,8 @@ class Operator:
         return self._blocks
 
     def _assemble(self, dtype) -> np.ndarray:
-        """The dense matrix of a block operator: its blocks scattered into
-        a zero matrix."""
-        out = np.zeros((self.dim, self.dim), dtype=dtype)
-        for idx, block in self._blocks:
-            out[idx[:, :, None], idx[:, None, :]] = block
-        return out
+        """The dense matrix of a block operator (:func:`_scatter`)."""
+        return _scatter(self._blocks, self.dim, dtype)
 
     @property
     def entries(self) -> np.ndarray:
@@ -301,6 +297,14 @@ class Operator:
         if self._blocks is None:
             return _hermitian_defect(self.values)
         return _block_defect(self._blocks)
+
+
+def _scatter(blocks, n: int, dtype) -> np.ndarray:
+    """The blocks of a block form scattered into an ``(n, n)`` zero matrix."""
+    out = np.zeros((n, n), dtype=dtype)
+    for idx, block in blocks:
+        out[idx[:, :, None], idx[:, None, :]] = block
+    return out
 
 
 def _block_form(blocks, n: int) -> tuple[tuple, bool]:
@@ -424,18 +428,6 @@ def permute_registers(x, order):
     if isinstance(x, StateVector):
         arr = x.amplitudes.reshape(dims).transpose(order).reshape(-1)
         return StateVector(new_shape, arr)
-    if x.block_form is not None:
-        # each block keeps its entries under the new flat indices, its rows
-        # and columns reordered together so that every index row ascends
-        moved = np.empty(x.dim, dtype=np.intp)
-        moved[np.arange(x.dim).reshape(dims).transpose(order).ravel()] = np.arange(x.dim)
-        stacks = []
-        for idx, block in x.block_form:
-            sort = np.argsort(moved[idx], axis=1)
-            rows = np.arange(len(idx))[:, None]
-            stacks.append((moved[idx][rows, sort],
-                           block[rows[:, :, None], sort[:, :, None], sort[:, None, :]]))
-        return Operator(new_shape, blocks=stacks)
     r = len(dims)
     axes = list(order) + [r + i for i in order]
     arr = x.values.reshape(dims + dims).transpose(axes).reshape(x.dim, x.dim)
@@ -450,19 +442,57 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
-    """The indices of each distinct value of the nonnegative integer
-    ``labels`` as ``(ngroups, s)`` arrays, one per group size s, sizes
+    """The indices of each distinct value of the integer ``labels``, of any
+    sign and size, as ``(ngroups, s)`` arrays, one per group size s, sizes
     ascending; each row ascends, and the rows of one array follow their
     label values."""
-    sizes = np.bincount(labels)
-    group_sizes = sizes[sizes > 0]
     # a stable sort keeps each group's indices ascending
     members = np.argsort(labels, kind="stable")
-    starts = np.cumsum(group_sizes) - group_sizes
+    ordered = labels[members]
+    starts = np.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
+    group_sizes = np.concatenate((starts[1:], [len(labels)])) - starts
     # the distinct sizes, ascending; np.unique would import numpy.ma on its
     # first call, 16 ms and 1.5 MB in a fresh process
     return [members[starts[group_sizes == s][:, None] + np.arange(s)]
             for s in np.flatnonzero(np.bincount(group_sizes))]
+
+
+def _joint_labels(labels: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """One label per distinct pair ``(labels[i], more[i])``, for ``labels``
+    in [0, D): the smallest index holding the pair.  Named so, labels stay
+    in [0, D) and a pair's code below D^2, so any number of labels can be
+    combined one at a time; one mixed-radix code over all of them would
+    wrap past 64 bits."""
+    more = more - more.min()
+    joint = np.empty(len(labels), dtype=np.intp)
+    for idx in _label_groups(labels * (more.max() + 1) + more):
+        joint[idx] = idx[:, :1]
+    return joint
+
+
+def _label_blocks(labels: np.ndarray, values: np.ndarray) -> list:
+    """The block form with one block per distinct integer label, constant
+    at the value ``values`` holds at each of its indices."""
+    return [(idx, values[idx][:, :, None].repeat(idx.shape[1], axis=2))
+            for idx in _label_groups(labels)]
+
+
+def _block_labels(op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Per index of a block operator with constant blocks, its block
+    (named by the block's smallest index) and the block's value."""
+    labels = np.empty(op.dim, dtype=np.intp)
+    values = np.empty(op.dim, dtype=op.block_form[0][1].dtype)
+    for idx, block in op.block_form:
+        labels[idx], values[idx] = idx[:, :1], block[:, :1, 0]
+    return labels, values
+
+
+def _dense_or_blocks(shape: RegisterShape, blocks) -> Operator:
+    """The operator with these blocks: dense at D <= ``_BLOCK_MIN_DIM``,
+    where the spectral step solves it whole, else in block form."""
+    if shape.total > _BLOCK_MIN_DIM:
+        return Operator(shape, blocks=blocks)
+    return Operator(shape, _scatter(blocks, shape.total, np.result_type(*(b for _, b in blocks))))
 
 
 def _join(rows, n: int) -> np.ndarray:

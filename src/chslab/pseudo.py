@@ -9,11 +9,11 @@ uniform keys, that product becomes the 0/1 label agreement
 ``[label(r) == label(s)]`` (label dephasing): the label of a flat index is
 the XOR of the keyed registers' prefixes, one label per independent key
 block.  Every key average here is that agreement, exact over the whole key
-space; nothing is sampled.  A Haar moment is one block per type class,
-so the keyed state reads the moment only there and keeps the pairs whose
-labels all agree, one block per class and label group, and the ideal state
-is one block per tuple of its moments' class blocks; both are block
-operators, and neither builds a D x D matrix, mask or product.
+space; nothing is sampled.  A Haar moment is one constant block per type
+class, so the keyed state is constant on the blocks of indices sharing
+their class and charge label (:func:`_charge_labels`), and the ideal state
+on tuples of class blocks; linalg's one label constructor builds both and
+alone chooses their form, and neither builds a D x D matrix, mask or product.
 
 Hybrid density matrices follow the register layout: generator-output copies
 first (in query order, with multiplicities), shared-state copies last.
@@ -33,8 +33,8 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, StateVector, _ascending, \
-    _gather, _label_groups, _psd_eigh, numeric_rank, pinv_sqrt, trace_distance
+from .linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, StateVector, _ascending, _block_labels, \
+    _gather, _joint_labels, _label_blocks, _psd_eigh, numeric_rank, pinv_sqrt, trace_distance
 from .typespace import (
     DEFAULT_ENUM_CAP,
     PrefixParams,
@@ -188,21 +188,19 @@ def _phases(xp: np.ndarray, key: int) -> np.ndarray:
     return 1.0 - 2.0 * _parity(xp & key)
 
 
-def _labels_agree(d: int, total: int, suffix_shift: int, charges, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Uniform key average of the +-1 phase products at the index pairs
-    (rows, cols), which broadcast against each other, as 0/1.
+def _charge_labels(d: int, total: int, suffix_shift: int, charges) -> np.ndarray:
+    """One label per flat index, equal at two indices exactly where every
+    charge's label is.
 
     Each entry of ``charges`` lists the registers read against one
     independent uniform key block; its label is their prefix XOR.  The
     average of (-1)^<k, label(r) ^ label(s)> over k is [label(r) == label(s)],
-    so the average is 1 exactly where every label agrees.
+    so the key average of the phase products is 1 exactly where these agree.
     """
-    agree = np.ones(np.broadcast_shapes(rows.shape, cols.shape), dtype=bool)
+    labels = np.zeros(d**total, dtype=np.intp)
     for regs in charges:
-        label = _prefix_xor_profile(d, suffix_shift, regs, total)
-        agree &= label[rows] == label[cols]
-    return agree
+        labels = _joint_labels(labels, _prefix_xor_profile(d, suffix_shift, regs, total))
+    return labels
 
 
 def _query_charges(blocks, queries) -> list[list[int]]:
@@ -342,9 +340,8 @@ def lemma_prfs_type_check(T: TypeVector, queries, mults, p: PrefixParams,
     offsets = np.cumsum((0,) + mults)
     blocks = [range(offsets[j], offsets[j + 1]) for j in range(len(queries))]
     psi = type_state(T, cap).amplitudes
-    idx = np.arange(d**total)
-    lhs = np.outer(psi, psi.conj()) * _labels_agree(
-        d, total, p.m, _query_charges(blocks, queries), idx[:, None], idx)
+    label = _charge_labels(d, total, p.m, _query_charges(blocks, queries))
+    lhs = np.outer(psi, psi.conj()) * (label[:, None] == label)
 
     rhs = np.zeros_like(lhs)
     for parts, prob in _position_subset_mixture(T.elements(), mults):
@@ -371,22 +368,14 @@ def _keyed_state(d: int, total: int, suffix_shift: int, charges,
     the total-copy Haar moment dephased by the charges' labels, a real
     block operator like the moment.
 
-    The moment is one block per type class, so only the index pairs of
-    each class are read.  Label agreement is an equivalence, so the pairs
-    that keep their entry split each class into groups of indices whose
-    labels all agree; each group is one block, holding the moment's
-    entries on it.
+    The moment is constant on its type-class blocks and the key average
+    keeps exactly the entries whose charge labels agree: one constant block
+    per class and charge label (:func:`chslab.linalg._label_blocks`).
     """
     moment = haar_moment(d, total, cap, enum_cap)
-    group = np.empty(moment.dim, dtype=np.intp)
-    for idx, _ in moment.block_form:
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        agree = _labels_agree(d, total, suffix_shift, charges, rows, cols)
-        # an index's group is named by the smallest index of its class
-        # whose labels all agree with its own
-        group[idx] = np.where(agree, cols, moment.dim).min(axis=2)
-    groups = _label_groups(group)
-    return Operator(moment.shape, blocks=list(zip(groups, _gather(moment, groups))))
+    block, value = _block_labels(moment)
+    labels = _joint_labels(block, _charge_labels(d, total, suffix_shift, charges))
+    return Operator(moment.shape, blocks=_label_blocks(labels, value))
 
 
 def _hybrid(d: int, suffix_shift: int, charges, groups, cap: int,

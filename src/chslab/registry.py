@@ -13,9 +13,11 @@ metadata and is excluded from that guarantee.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -55,8 +57,8 @@ _MC_ROWS = 16384  # Haar states per sampled block
 # Check tolerances, fixed here.  "Measured" is the largest |value - reference|
 # (value - bound for `below`) over `suite all` at suite seeds 0-199.
 _EXACT_TOL = 0.0  # ranks, counts, degrees, identically built operators
-# O(eps) fidelity, as TestFidelity holds; measured 7.2e-16 (commit-fidelity)
-# and 1.3e-15 (commit-binding's optimum)
+# O(eps) fidelity, as TestFidelity holds; measured 7.2e-16 (commit-fidelity),
+# 1.3e-15 (commit-binding's optimum) and 1.4e-17 (the one-copy distances)
 _CLOSED_FORM_TOL = 1e-14
 _ENTRY_TOL = 1e-12  # one value built two ways; floor of a zero stderr; measured 1.7e-16
 _SUM_TOL = 1e-10  # sums of D unit terms, D*eps = 3.6e-12 at the cap; measured 1.1e-15
@@ -266,6 +268,9 @@ def _exp_prs_hybrid(params, seed, caps, rec: _Recorder):
     pp = ps.PseudoParams(params["lam"], params["n"], params["ell"], params["t"])
     res = ps.prs_hybrids(pp, caps.dim, caps.enum)
     rec.below("trace-distance", res.td, res.bound, EXACT, _PROB_TOL)
+    if pp.ell == pp.t == 1:
+        rec.close("one-copy-closed-form", res.td, exact.one_copy_distance(pp.lam, pp.n),
+                  EXACT, _CLOSED_FORM_TOL)
     _density_contract(rec, "keyed", res.keyed)
     if pp.ell == 0:
         rec.close("zero-copy-distance", res.td, 0.0, EXACT, _EXACT_TOL)
@@ -277,6 +282,9 @@ def _exp_prs_decay(params, seed, caps, rec: _Recorder):
     for lam in params["lams"]:
         res = ps.prs_hybrids(ps.PseudoParams(lam, lam, ell, t), caps.dim, caps.enum)
         rec.below(f"trace-distance-lam{lam}", res.td, res.bound, EXACT, _PROB_TOL)
+        if ell == t == 1:
+            rec.close(f"one-copy-closed-form-lam{lam}", res.td,
+                      exact.one_copy_distance(lam, lam), EXACT, _CLOSED_FORM_TOL)
         tds.append(res.td)
     strict = all(b < a for a, b in zip(tds, tds[1:]))
     rec.add("strictly-decreasing", float(strict), 1.0, EXACT, strict)
@@ -393,6 +401,9 @@ def _exp_commit_hiding(params, seed, caps, rec: _Recorder):
         td = cm.hiding_distance(cm.CommitmentParams(lam, n, p, t), caps.dim,
                                 caps.enum)
         rec.below(f"trace-distance-n{n}", td, bound, EXACT, _PROB_TOL)
+        if p == t == 1:
+            rec.close(f"one-copy-closed-form-n{n}", td, exact.one_copy_distance(lam, n),
+                      EXACT, _CLOSED_FORM_TOL)
     if p == 1:
         zero = cm.hiding_distance(cm.CommitmentParams(lam, params["ns"][0], p, 0),
                                   caps.dim, caps.enum)
@@ -523,10 +534,12 @@ REGISTRY: dict[str, _Entry] = {
         "disjointness-graph spectral 1-norm matches the closed form"),
     "prs-hybrid": _Entry(
         _exp_prs_hybrid, {"lam": 2, "n": 2, "ell": 1, "t": 1}, ("bounds",),
-        "keyed hybrid is a valid state; distance recorded against 2^-lam decay"),
+        "keyed hybrid is a valid state; distance recorded against 2^-lam decay "
+        "and, at ell=t=1, equal to the one-copy closed form"),
     "prs-decay": _Entry(
         _exp_prs_decay, {"lams": (2, 3), "ell": 1, "t": 1}, ("bounds",),
-        "exact hybrid distance strictly decreases in the key length"),
+        "exact hybrid distance strictly decreases in the key length and, at "
+        "ell=t=1, equals the one-copy closed form"),
     "multi-key": _Entry(
         _exp_multikey, {"lam": 2, "n": 2, "p": 2, "ell": 1, "t": 0}, ("bounds",),
         "independent keys reduce to the single-key case at p=1"),
@@ -559,7 +572,7 @@ REGISTRY: dict[str, _Entry] = {
     "commit-hiding": _Entry(
         _exp_commit_hiding, {"lam": 1, "ns": (2, 3), "p": 1, "t": 1}, ("bounds",),
         "receiver view distance per state length; exact values grow with n "
-        "(9/40 -> 35/144 at lam=1)"),
+        "(9/40 -> 35/144 at lam=1, the one-copy closed form at p=t=1)"),
     "ppt-chain": _Entry(
         _exp_ppt_chain, {"d": 6, "t": 2}, ("bounds",),
         "transposed-difference norm obeys the Kneser bound chain"),
@@ -590,13 +603,30 @@ REGISTRY: dict[str, _Entry] = {
 SUITES = ("lemmas", "bounds", "montecarlo", "all")
 
 
+# the thread counts BLAS reads from the environment; recorded values are
+# bit for bit only under a fixed count
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _blas() -> dict:
+    """numpy's BLAS build (name, version, OpenBLAS configuration), read once
+    per process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def _toolchain() -> dict:
+    """What produced a report's values; no wall time, so reports of one
+    seed stay equal outside ``runtime_ms``."""
     from . import __version__
 
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "chslab": __version__,
+        "blas": dict(_blas()),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
     }
 
 

@@ -14,10 +14,11 @@ lexicographic on the sorted element tuple.  The flat indices of
 multiset (:func:`_type_classes`).  The symmetric projector and the Haar
 moment are zero outside those classes' index pairs, so both are block
 operators with one constant block per class: a 1024-square moment holds
-2016 entries at (d, t) = (32, 2).  A product of independent moments is a
-block operator too, one block per tuple of class blocks
-(:func:`_ideal_state`).  The dense scatter of the class blocks stays as
-their oracle (:func:`_class_scatter`).
+2016 entries at (d, t) = (32, 2).  A product of independent moments is
+constant on blocks too, one per tuple of class blocks, built from each
+index's class labels by linalg's label constructor (:func:`_ideal_state`),
+which alone chooses dense or blocks.  The dense scatter of the class
+blocks stays as their oracle (:func:`_class_scatter`).
 
 Good-type questions have one fold predicate, :func:`_fold_good`, which
 tests arrays of element rows at once by pairwise scans over one contiguous
@@ -47,7 +48,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import DEFAULT_DIM_CAP, Operator, RegisterShape, StateVector, \
-    _label_groups, permute_registers
+    _block_labels, _label_blocks, _label_groups
 from .rng import stream_rng
 
 __all__ = [
@@ -276,42 +277,28 @@ def haar_moment(d: int, t: int, cap: int = DEFAULT_DIM_CAP,
     return Operator(RegisterShape((d,) * t), blocks=_class_blocks(d, t, cap, enum_cap, count))
 
 
-def _kron_stacks(a: tuple, b: tuple, dim_b: int) -> tuple:
-    """The block stack of the Kronecker product of the stacks ``a`` and
-    ``b``, the second on a ``dim_b``-dimensional factor: one block per pair
-    of their blocks, row-major over the pair, with entry
-    ``a_block[p, q] * b_block[p', q']`` at ((p, p'), (q, q'))."""
-    (idx_a, blocks_a), (idx_b, blocks_b) = a, b
-    nb, sb = idx_b.shape
-    na, sa = idx_a.shape
-    idx = (idx_a[:, None, :, None] * dim_b + idx_b[None, :, None, :]).reshape(na * nb, sa * sb)
-    blocks = blocks_a[:, None, :, None, :, None] * blocks_b[None, :, None, :, None, :]
-    return idx, blocks.reshape(na * nb, sa * sb, sa * sb)
-
-
 def _ideal_state(d: int, groups, cap: int, enum_cap: int) -> Operator:
-    """One independent Haar moment per register group, in register order:
-    the Kronecker product of the moments, a real block operator.
+    """One independent Haar moment per register group: their tensor
+    product, a real block operator with constant blocks.
 
-    Each block is the product of one class block per group: its entries
-    are the class values' product, taken left to right as ``np.kron``
-    takes it, and its indices ascend as the combined flat indices do.
-    Groups that are not in register order are then permuted as blocks
-    (:func:`permute_registers`).
+    An index's block is the tuple of the class blocks it meets in each
+    group's moment, read at the digits of that group's registers in the
+    order the group lists them, and its value is the product of their
+    values, left to right in group order as ``np.kron`` takes it.
     """
-    stacks = [(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1, 1)))]
-    order: list[int] = []
+    groups = [np.asarray(regs) for regs in groups if len(regs)]
+    shape = RegisterShape((d,) * sum(map(len, groups))).check_cap(cap)
+    flat = np.arange(shape.total)
+    labels, values = np.zeros(shape.total, dtype=np.intp), np.ones(shape.total)
     for regs in groups:
-        if len(regs):
-            moment = haar_moment(d, len(regs), cap, enum_cap)
-            stacks = [_kron_stacks(a, b, moment.dim)
-                      for a in stacks for b in moment.block_form]
-            order.extend(int(reg) for reg in regs)
-    grouped = Operator(RegisterShape((d,) * len(order)), blocks=stacks)
-    if order == sorted(order):
-        return grouped
-    # grouped register g holds register order[g]
-    return permute_registers(grouped, np.argsort(order))
+        # register r is digit len(shape) - 1 - r of a flat index, in base d
+        digits = flat[:, None] // d ** (len(shape) - 1 - regs) % d
+        at = digits @ d ** np.arange(len(regs))[::-1]
+        block, value = _block_labels(haar_moment(d, len(regs), cap, enum_cap))
+        # block labels are indices below d^len(regs), so the code stays below D
+        labels = labels * d ** len(regs) + block[at]
+        values = values * value[at]
+    return Operator(shape, blocks=_label_blocks(labels, values))
 
 
 def haar_states_block(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,11 +4,14 @@ dense constructions they replace, and each other."""
 from fractions import Fraction
 from math import comb, prod, ulp
 
+import numpy as np
 import pytest
 
 from chslab import exact
+from chslab.commitment import CommitmentParams, hiding_distance
 from chslab.linalg import trace_norm
 from chslab.locc import KneserParams, kneser_adjacency
+from chslab.pseudo import PseudoParams, prs_hybrids
 
 
 def _falling(x: int, k: int) -> int:
@@ -79,7 +82,86 @@ def test_binding_optimum_ends_and_the_bound():
         assert abs(optimum - bound) <= ulp(bound), (lam, n)
 
 
+def _key_signs(lam: int, n: int) -> np.ndarray:
+    """(-1)^<k, prefix(a)> for every lam-bit key k (rows) and basis label a
+    of n qubits (columns), the prefix being a's top lam bits."""
+    prefix = np.arange(2**n) >> (n - lam)
+    return np.array([[(-1) ** bin(k & x).count("1") for x in prefix]
+                     for k in range(2**lam)], dtype=float)
+
+
+def _one_copy_dense(lam: int, n: int) -> float:
+    """Half the trace norm of rho - I/d^2 as d^2-square matrices: rho is
+    the moment (I + SWAP)/(d(d+1)) of two Haar copies, its first copy
+    phased by every lam-bit key and averaged."""
+    d = 2**n
+    swap = np.eye(d * d)[[b * d + a for a in range(d) for b in range(d)]]
+    first = np.repeat(_key_signs(lam, n), d, axis=1)  # the phase of |a, b> is a's
+    rho = (np.eye(d * d) + swap) / (d * (d + 1)) * (first.T @ first / 2**lam)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - np.eye(d * d) / d**2)).sum())
+
+
+def _one_copy_pairs(lam: int, n: int) -> float:
+    """The same distance from the pair blocks of rho - I/d^2: (I + SWAP)
+    joins |a, b> only to |b, a>, so each pair a < b is a 2 x 2 block with
+    the key-averaged phase product on its off-diagonal, and each |a, a> a
+    1 x 1 block; their spectra by eigvalsh."""
+    d = 2**n
+    signs = _key_signs(lam, n)
+    a, b = np.triu_indices(d, 1)
+    off = (signs[:, a] * signs[:, b]).mean(axis=0) / (d * (d + 1))
+    blocks = np.empty((len(a), 2, 2))
+    blocks[:, 0, 0] = blocks[:, 1, 1] = 1 / (d * (d + 1)) - 1 / d**2
+    blocks[:, 0, 1] = blocks[:, 1, 0] = off
+    pairs = np.abs(np.linalg.eigvalsh(blocks)).sum()
+    return 0.5 * float(pairs + d * abs(2 / (d * (d + 1)) - 1 / d**2))
+
+
+def test_one_copy_distance_matches_the_dense_hybrid():
+    # every 0 <= lam <= n <= 6: the d^2-square matrices up to n = 4
+    # (D = 256), the pair blocks, checked against them there, up to n = 6
+    for n in range(7):
+        for lam in range(n + 1):
+            closed = exact.one_copy_distance(lam, n)
+            assert closed == Fraction((2 ** (n - lam) + 1) * (2**n - 1),
+                                      2 * 2**n * (2**n + 1))
+            pairs = _one_copy_pairs(lam, n)
+            assert abs(pairs - float(closed)) <= 1e-15, (lam, n)
+            if n <= 4:
+                assert abs(_one_copy_dense(lam, n) - pairs) <= 1e-15, (lam, n)
+
+
+def test_one_copy_distance_matches_the_library_hybrids():
+    # the keyed hybrid at ell = t = 1 and the hiding distance at p = t = 1
+    # are the same operator pair, for every lam <= n <= 6 (D <= 4096);
+    # measured 1.11e-16
+    worst = 0.0
+    for n in range(1, 7):
+        for lam in range(n + 1):
+            closed = float(exact.one_copy_distance(lam, n))
+            worst = max(worst, abs(prs_hybrids(PseudoParams(lam, n, 1, 1)).td - closed))
+            if lam < n:
+                worst = max(worst, abs(hiding_distance(CommitmentParams(lam, n, 1, 1))
+                                       - closed))
+    assert worst <= 1.2e-16
+
+
+def test_one_copy_distance_trends():
+    # towards 2^-(lam+1): rising at lam = 1, falling from n = lam at lam >= 2
+    assert [exact.one_copy_distance(1, n) for n in (2, 3, 4)] == [
+        Fraction(9, 40), Fraction(35, 144), Fraction(135, 544)]
+    assert [exact.one_copy_distance(2, n) for n in (2, 3, 4, 5)] == [
+        Fraction(3, 20), Fraction(7, 48), Fraction(75, 544), Fraction(93, 704)]
+    assert exact.one_copy_distance(3, 3) == Fraction(7, 72)
+    for lam in range(1, 5):
+        gaps = [abs(exact.one_copy_distance(lam, n) - Fraction(1, 2 ** (lam + 1)))
+                for n in range(lam, lam + 8)]
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), lam
+
+
 @pytest.mark.parametrize("call", [
+    lambda: exact.one_copy_distance(3, 2),
+    lambda: exact.one_copy_distance(-1, 2),
     lambda: exact.collision_advantage(3, 2),
     lambda: exact.collision_advantage(0, 0),
     lambda: exact.kneser_one_norm(3, 2),

@@ -23,6 +23,9 @@ Haar-random senders are a test oracle (``tests/senders.py``).
 One construction per fact: ``commitment`` contracts the swap-test factor
 pair by pair and expands no subsets, and ``locc`` takes its independent
 product from ``typespace`` without importing ``pseudo``.
+
+Operator form: only linalg names ``_BLOCK_MIN_DIM``, so whether an
+operator goes on dense or in blocks is chosen in one module.
 """
 
 import ast
@@ -73,6 +76,14 @@ def test_only_typespace_draws_from_a_generator():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Attribute) and node.attr in draws]
     assert callers == []
+
+
+def test_only_linalg_names_the_block_threshold():
+    paths = sorted(Path(chslab.__file__).parent.glob("*.py"))
+    assert {"linalg.py", "commitment.py"} <= {p.name for p in paths}
+    names = [path.name for path in paths
+             if path.name != "linalg.py" and "_BLOCK_MIN_DIM" in path.read_text()]
+    assert names == []
 
 
 def _imported_modules(path: Path) -> set[str]:

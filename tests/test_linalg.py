@@ -28,10 +28,14 @@ from chslab.linalg import (
     trace_distance,
     trace_norm,
     _BLOCK_MIN_DIM,
+    _block_labels,
     _dense_eigh,
+    _dense_or_blocks,
     _hermitian_defect,
     _join,
     _joined_stacks,
+    _joint_labels,
+    _label_blocks,
     _label_groups,
     _psd_eigh,
     _spectrum,
@@ -1049,3 +1053,88 @@ class TestBlockForm:
         np.testing.assert_allclose(root.values, oracle, rtol=0, atol=1e-12)
         assert [idx.shape for idx, _, _ in system] == [(8, 1), (24, 3)]
         assert assembled == [80, 80]
+
+
+def python_groups(labels) -> list[list[list[int]]]:
+    """The grouping ``_label_groups`` promises, in plain Python: the indices
+    of each distinct label, ascending, grouped by size, sizes ascending and
+    the groups of one size in label order."""
+    members: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        members.setdefault(int(label), []).append(i)
+    by_size: dict[int, list[list[int]]] = {}
+    for label in sorted(members):
+        by_size.setdefault(len(members[label]), []).append(members[label])
+    return [by_size[s] for s in sorted(by_size)]
+
+
+class TestLabelConstructor:
+    """One constructor for constant-block operators: label groups, label
+    combination, and blocks built from per-index labels and values."""
+
+    @pytest.mark.parametrize("labels", [
+        [-3, 5, -3, 0, 5, 5, -1],                            # negative
+        [10**12, 7, 10**12, -10**12, 7],                     # sparse, far beyond D
+        [9, 9, 9],                                           # one label, above D
+        [4, 3, 2, 1, 0],                                     # all distinct, descending
+        [np.iinfo(np.int64).min, np.iinfo(np.int64).max, np.iinfo(np.int64).min],
+    ])
+    def test_label_groups_match_python_grouping(self, labels):
+        got = _label_groups(np.array(labels, dtype=np.int64))
+        assert [idx.tolist() for idx in got] == python_groups(labels)
+
+    def test_label_groups_on_random_wide_labels(self):
+        rng = stream_rng(70)
+        for span in (3, 50, 2**40):
+            labels = rng.integers(-span, span, size=200)
+            got = _label_groups(labels)
+            assert [idx.tolist() for idx in got] == python_groups(labels)
+
+    def test_joint_labels_keep_every_label(self):
+        # 80 binary labels: one mixed-radix code over them would pass 64
+        # bits, so indices 0 and 1, which differ only in the first label,
+        # would share a block; each combine relabels into [0, D)
+        rng = stream_rng(71)
+        labels = rng.integers(0, 2, size=(80, 12))
+        labels[:, 1] = labels[:, 0]
+        labels[0, 1] = 1 - labels[0, 0]
+        labels[:, 5] = labels[:, 4]
+        joint = np.zeros(12, dtype=np.intp)
+        for more in labels:
+            joint = _joint_labels(joint, more)
+        tuples = [tuple(col) for col in labels.T.tolist()]
+        assert 0 <= joint.min() and joint.max() < 12
+        for i in range(12):
+            for j in range(12):
+                assert (joint[i] == joint[j]) == (tuples[i] == tuples[j]), (i, j)
+        assert joint[0] != joint[1] and joint[4] == joint[5]
+
+    @pytest.mark.parametrize("d,t", [(3, 2), (2, 4), (5, 3)])
+    def test_block_labels_rebuild_the_moment(self, d, t):
+        moment = haar_moment(d, t)
+        labels, values = _block_labels(moment)
+        for idx, block in moment.block_form:
+            assert (labels[idx] == idx[:, :1]).all()
+            assert (values[idx] == block[:, :1, 0]).all()
+        rebuilt = Operator(moment.shape, blocks=_label_blocks(labels, values))
+        assert rebuilt.real
+        assert rebuilt.values.tobytes() == moment.values.tobytes()
+
+    def test_label_blocks_are_constant_on_each_label(self):
+        labels = np.array([7, -2, 7, 3, -2, 7])
+        values = np.array([0.5, 0.25, 0.5, 1.0, 0.25, 0.5])
+        op = Operator(RegisterShape((6,)), blocks=_label_blocks(labels, values))
+        expected = np.where(labels[:, None] == labels, values[:, None], 0.0)
+        assert op.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [_BLOCK_MIN_DIM, _BLOCK_MIN_DIM + 1])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_dense_or_blocks_chooses_at_the_threshold(self, d, real):
+        stacks = random_block_form(stream_rng(72), [(1, d - 60), (4, 15)], real)
+        shape = RegisterShape((d,))
+        op = _dense_or_blocks(shape, stacks)
+        reference = Operator(shape, blocks=stacks)
+        assert (op.block_form is None) == (d <= _BLOCK_MIN_DIM)
+        assert op.real is real
+        assert op.values.dtype == reference.values.dtype
+        assert op.values.tobytes() == reference.values.tobytes()

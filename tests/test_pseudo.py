@@ -19,6 +19,7 @@ from chslab.errors import (
 )
 from chslab import commitment as cm
 from chslab import pseudo
+from chslab.locc import ppt_diff_norm
 from chslab.linalg import DEFAULT_DIM_CAP, RANK_TOL, Operator, RegisterShape, \
     StateVector, _dense_eigh, _psd_eigh, permute_registers, pinv_sqrt, \
     trace_distance
@@ -456,6 +457,9 @@ class TestDenseBuildOracle:
         (4, 4, 0, prfs_charges([(0, 1), (1, 0), (0, 1)], (1, 1, 1))),
         (3, 3, 0, []),                          # no key: the moment itself
         (16, 3, 0, [range(1)]),                 # D = 4096, prs lam = n = 4, t = 2
+        # 80 charges from two 40-bit queries: one mixed-radix code over
+        # their labels would pass 64 bits and wrap
+        (4, 3, 0, prfs_charges([(0,) + (0,) * 39, (1,) + (0,) * 39], (1, 1))),
     ])
     def test_keyed_state(self, d, total, shift, charges):
         keyed = _keyed_state(d, total, shift, charges, DEFAULT_DIM_CAP, DEFAULT_ENUM_CAP)
@@ -640,6 +644,19 @@ class TestPrfsHybrids:
         two_keys = prs_multikey_hybrids(PseudoParams(1, 1, 1, 1), 2)
         assert two_keys.td == pytest.approx(0.25, abs=1e-12)
         assert res.td == pytest.approx(two_keys.td, abs=1e-12)
+
+    @pytest.mark.parametrize("lam,n,want", [
+        (1, 2, 0.31249999999999994), (2, 2, 0.175), (3, 3, 0.18958333333333333)])
+    def test_forty_bit_queries_equal_one_bit_queries(self, lam, n, want):
+        # bits 1 to 39 are 0 in both queries, so their 78 key blocks charge
+        # the two queries' registers jointly or not at all, which the two
+        # bit-0 blocks already imply: the keyed state is that of (0,), (1,)
+        params = PseudoParams(lam, n, 2, 1, (1, 1))
+        long = prfs_hybrids(params, [(0,) + (0,) * 39, (1,) + (0,) * 39])
+        short = prfs_hybrids(params, [(0,), (1,)])
+        assert long.keys_used == 2 ** (80 * lam)
+        assert long.keyed.values.tobytes() == short.keyed.values.tobytes()
+        assert repr(long.td) == repr(short.td) == repr(want)
 
     def test_repeated_queries_share_ideal_state(self):
         # the ideal side for two equal queries is the two-copy moment, so the
@@ -880,3 +897,44 @@ class TestOnewayness:
         value, bound = onewayness_quantity(2, 0)
         assert bound == 0.25
         assert value == pytest.approx(0.25, abs=1e-12)
+
+
+class TestReprPins:
+    """Hybrid, rank-attack, onewayness and hiding values pinned by repr, as
+    the Kronecker-stack, label-mask and gather builders gave them before
+    both hybrid builders moved onto linalg's label constructor: the
+    benchmark's exact-hybrids outputs and the suite defaults."""
+
+    @pytest.mark.parametrize("call,want", [
+        pytest.param(lambda: prs_hybrids(PseudoParams(5, 5, 1, 1)).td,
+                     "0.029356060606060594", id="exact-hybrids-prs-5511"),
+        pytest.param(lambda: prs_hybrids(PseudoParams(2, 2, 2, 3)).td,
+                     "0.2828571428571429", id="exact-hybrids-prs-2223"),
+        pytest.param(lambda: prs_multikey_hybrids(PseudoParams(3, 3, 1, 1), 2).td,
+                     "0.18958333333333333", id="exact-hybrids-multi-key"),
+        pytest.param(lambda: prfs_hybrids(PseudoParams(2, 3, 2, 1, (1, 1)),
+                                          [(0,), (1,)]).td,
+                     "0.28020833333333334", id="exact-hybrids-prfs"),
+        pytest.param(lambda: cm.hiding_distance(cm.CommitmentParams(2, 3, 2, 1)),
+                     "0.28020833333333334", id="exact-hybrids-hiding"),
+        pytest.param(lambda: ppt_diff_norm(10, 2),
+                     "PptChainResult(exact=1.1, kneser_sum=1.1, middle=1.1, "
+                     "factorial_bound=1.5, series_bound=1.718281828459045)",
+                     id="exact-hybrids-ppt-chain"),
+        pytest.param(lambda: rank_attack(PseudoParams(3, 3, 1, 2)),
+                     "RankAttackResult(rank0=288, rank1=288, accept_pseudo=1.0, "
+                     "accept_haar=1.0, ratio_bound=3.3333333333333335)",
+                     id="exact-hybrids-rank-attack"),
+        pytest.param(lambda: prs_hybrids(PseudoParams(2, 2, 1, 1)).td, "0.15",
+                     id="suite-prs-hybrid"),
+        pytest.param(lambda: rank_attack(PseudoParams(1, 2, 2, 2)),
+                     "RankAttackResult(rank0=60, rank1=100, accept_pseudo=1.0, "
+                     "accept_haar=0.6000000000000002, ratio_bound=0.7)",
+                     id="suite-rank-attack"),
+        pytest.param(lambda: onewayness_quantity(2, 1), "(0.4, 0.5)", id="suite-onewayness"),
+        pytest.param(lambda: (cm.hiding_distance(cm.CommitmentParams(1, 2, 1, 1)),
+                              cm.hiding_distance(cm.CommitmentParams(1, 3, 1, 1))),
+                     "(0.225, 0.24305555555555555)", id="suite-commit-hiding"),
+    ])
+    def test_pinned(self, call, want):
+        assert repr(call()) == want

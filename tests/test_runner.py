@@ -28,6 +28,8 @@ from chslab.registry import (
     suite_experiments,
 )
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 REPORT_SCHEMA = {
     "type": "array",
     "items": {
@@ -38,7 +40,25 @@ REPORT_SCHEMA = {
             "experiment": {"type": "string"},
             "seed": {"type": "integer"},
             "passed": {"type": "boolean"},
-            "toolchain": {"type": "object"},
+            "toolchain": {
+                "type": "object",
+                "required": ["python", "numpy", "chslab", "blas", "threads"],
+                "properties": {
+                    "blas": {
+                        "type": "object",
+                        "required": ["name", "version", "openblas configuration"],
+                        "properties": {key: {"type": ["string", "null"]} for key in (
+                            "name", "version", "openblas configuration")},
+                    },
+                    "threads": {
+                        "type": "object",
+                        "required": list(THREAD_VARS),
+                        "properties": {var: {"type": ["string", "null"]}
+                                       for var in THREAD_VARS},
+                        "additionalProperties": False,
+                    },
+                },
+            },
             "checks": {
                 "type": "array",
                 "minItems": 1,
@@ -274,9 +294,13 @@ class TestMutants:
     experiment's defaults."""
 
     ROWS = {
-        "prs-hybrid": ["trace-distance", "keyed-hermitian-defect", "keyed-trace",
-                       "keyed-min-eigenvalue"],
-        "commit-hiding": ["trace-distance-n2", "trace-distance-n3", "no-copy-distance"],
+        "prs-hybrid": ["trace-distance", "one-copy-closed-form", "keyed-hermitian-defect",
+                       "keyed-trace", "keyed-min-eigenvalue"],
+        "prs-decay": ["trace-distance-lam2", "one-copy-closed-form-lam2",
+                      "trace-distance-lam3", "one-copy-closed-form-lam3",
+                      "strictly-decreasing"],
+        "commit-hiding": ["trace-distance-n2", "one-copy-closed-form-n2",
+                          "trace-distance-n3", "one-copy-closed-form-n3", "no-copy-distance"],
         "commit-binding": ["max-p0-plus-p1", "optimum-vs-closed-form"],
         "onewayness": ["overlap-value"],
         "rank-attack": ["ideal-rank", "accept-keyed", "accept-ideal",
@@ -292,6 +316,19 @@ class TestMutants:
         pytest.param("commit-hiding", exact, "hiding_bound",
                      lambda f: _scaled(f, Fraction(1, 100)),
                      ["trace-distance-n2", "trace-distance-n3"], id="hiding-bound"),
+        # the one-copy closed form is each row's reference, so a scaled one
+        # fails every equality row and nothing else
+        pytest.param("prs-hybrid", exact, "one_copy_distance",
+                     lambda f: _scaled(f, 1 + Fraction(1, 10**12)), ["one-copy-closed-form"],
+                     id="one-copy-prs-hybrid"),
+        pytest.param("prs-decay", exact, "one_copy_distance",
+                     lambda f: _scaled(f, 1 + Fraction(1, 10**12)),
+                     ["one-copy-closed-form-lam2", "one-copy-closed-form-lam3"],
+                     id="one-copy-prs-decay"),
+        pytest.param("commit-hiding", exact, "one_copy_distance",
+                     lambda f: _scaled(f, 1 + Fraction(1, 10**12)),
+                     ["one-copy-closed-form-n2", "one-copy-closed-form-n3"],
+                     id="one-copy-commit-hiding"),
         pytest.param("commit-binding", exact, "binding_bound",
                      lambda f: _scaled(f, 0.25), ["max-p0-plus-p1"], id="binding-bound"),
         pytest.param("commit-binding", cm, "binding_sum",
@@ -355,6 +392,19 @@ class TestSuiteRun:
 
 
 class TestReportFormats:
+    def test_toolchain_records_blas_and_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        toolchain = run(ExperimentConfig("kneser")).toolchain
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert toolchain["blas"] == {key: blas.get(key) for key in (
+            "name", "version", "openblas configuration")}
+        assert toolchain["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert toolchain["threads"]["MKL_NUM_THREADS"] is None
+        assert set(toolchain["threads"]) == set(THREAD_VARS)
+        # no wall time: two reports of one seed share their toolchain
+        assert run(ExperimentConfig("kneser")).toolchain == toolchain
+
     def test_json_schema_valid(self):
         jsonschema = pytest.importorskip("jsonschema")
         reports = run_suite("lemmas", seed=2)
